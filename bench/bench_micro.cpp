@@ -3,7 +3,8 @@
 /// \file
 /// Google-benchmark microbenchmarks of the primitive operations the SE²GIS
 /// loops are built from: symbolic unfolding, recursion elimination, frame
-/// computation, SGE construction, witness SMT queries, and PBE enumeration.
+/// computation, SGE construction, witness SMT queries, warm-session SMT
+/// checks, and PBE enumeration.
 /// These are ours (the paper reports end-to-end numbers only); they document
 /// where the time goes.
 ///
@@ -13,6 +14,7 @@
 #include "core/Witness.h"
 #include "eval/SymbolicEval.h"
 #include "frontend/Elaborate.h"
+#include "smt/Solver.h"
 #include "suite/Benchmarks.h"
 #include "synth/Enumerator.h"
 #include "synth/Grammar.h"
@@ -104,6 +106,23 @@ void BM_WitnessQuery(benchmark::State &State) {
         findFunctionalWitness(System, 1000, Deadline()));
 }
 BENCHMARK(BM_WitnessQuery);
+
+void BM_SmtWarmQuery(benchmark::State &State) {
+  // The fixed per-query cost of the SMT layer: one small assertion and one
+  // check on the thread's warm session, the shape of most SGE/witness
+  // queries. The scope keeps the session alive across iterations.
+  VarPtr X = freshVar("x", Type::intTy());
+  TermPtr A = mkOp(OpKind::Gt, {mkVar(X), mkIntLit(3)});
+  SmtSessionScope Scope;
+  for (auto _ : State) {
+    SmtQuery Q;
+    Q.add(A);
+    benchmark::DoNotOptimize(Q.checkSat(2000));
+  }
+  State.counters["queries"] = benchmark::Counter(
+      static_cast<double>(State.iterations()), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SmtWarmQuery);
 
 void BM_PbeEnumeration(benchmark::State &State) {
   GrammarConfig G;

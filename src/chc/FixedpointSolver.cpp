@@ -6,8 +6,9 @@
 #include "support/PerfCounters.h"
 #include "support/Stopwatch.h"
 
-#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 using namespace se2gis;
@@ -55,14 +56,20 @@ FixedpointSolver::Result FixedpointSolver::query(const z3::expr &Goal,
 
   // Watchdog: z3::fixedpoint has no poll point of its own, so a helper
   // thread watches the deadline/token and interrupts the engine. Interrupt
-  // is a soft request — keep re-issuing it until the query returns.
-  std::atomic<bool> QueryDone{false};
+  // is a soft request — keep re-issuing it until the query returns. The
+  // poll period is a wait on QueryCV, which the query thread signals when
+  // it finishes, so the join below never waits out a period.
+  std::mutex QueryMutex;
+  std::condition_variable QueryCV;
+  bool QueryDone = false;
   Stopwatch Watch;
   std::thread Guard([&] {
-    while (!QueryDone.load(std::memory_order_acquire)) {
+    std::unique_lock<std::mutex> Lock(QueryMutex);
+    while (!QueryDone) {
       if (Budget.expired() || Watch.elapsedMs() > static_cast<double>(Ms))
         Ctx.interrupt();
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      QueryCV.wait_for(Lock, std::chrono::milliseconds(20),
+                       [&] { return QueryDone; });
     }
   });
 
@@ -84,7 +91,11 @@ FixedpointSolver::Result FixedpointSolver::query(const z3::expr &Goal,
   } catch (const z3::exception &) {
     Out = Result::Unknown; // interrupted (or an engine error): inconclusive
   }
-  QueryDone.store(true, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> Lock(QueryMutex);
+    QueryDone = true;
+  }
+  QueryCV.notify_one();
   Guard.join();
   return Out;
 }

@@ -106,6 +106,8 @@ SmtSessionInfo se2gis::threadSmtSessionInfo() {
     Info.Busy = Slot.S->Busy;
     Info.QueriesServed = Slot.S->QueriesServed;
     Info.Depth = Slot.S->Depth;
+    Info.Rlimit = Slot.S->RlimitApplied;
+    Info.ParamSets = Slot.S->ParamSets;
   }
   return Info;
 }

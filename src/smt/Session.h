@@ -44,6 +44,16 @@ public:
   /// setSmtRandomSeed call makes the next acquisition replace the session
   /// (solver-internal random state is not reset by re-applying params).
   unsigned SeedApplied;
+  /// The rlimit last handed to the solver through its params (0 = params
+  /// never applied). Z3 keeps solver params across checks and scopes the
+  /// rlimit to each check() call, so a query whose budget maps to the same
+  /// rlimit skips the params call, which re-runs updt_params on the whole
+  /// solver and costs far more than a trivial check. The seed rides along
+  /// with the rlimit and needs no tag of its own: a seed change replaces
+  /// the session.
+  unsigned RlimitApplied = 0;
+  /// Times this session has applied solver params (observability only).
+  std::uint64_t ParamSets = 0;
   /// Queries that have attached to this session (reuse = served > 1).
   std::uint64_t QueriesServed = 0;
   /// Makes soft-assumption indicator names unique across all queries served

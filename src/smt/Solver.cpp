@@ -540,12 +540,20 @@ SmtResult SmtQuery::checkSatImpl(int TimeoutMs, SmtModel *ModelOut,
     // wall-clock "timeout" parameter (see smtRlimitForTimeoutMs). The limit
     // is applied per check() call (Z3 scopes it to the call), so a
     // long-lived session solver gives every query its own slice rather than
-    // a shared cumulative one.
-    z3::params P(I->ctx());
-    P.set("rlimit", smtRlimitForTimeoutMs(TimeoutMs));
-    if (unsigned Seed = I->session().SeedApplied)
-      P.set("random_seed", Seed);
-    I->solver().set(P);
+    // a shared cumulative one. The solver keeps its params between checks,
+    // so they are set only when the rlimit differs from the one it carries
+    // (SmtSession::RlimitApplied).
+    SmtSession &S = I->session();
+    unsigned Rlimit = smtRlimitForTimeoutMs(TimeoutMs);
+    if (Rlimit != S.RlimitApplied) {
+      z3::params P(I->ctx());
+      P.set("rlimit", Rlimit);
+      if (S.SeedApplied)
+        P.set("random_seed", S.SeedApplied);
+      I->solver().set(P);
+      S.RlimitApplied = Rlimit;
+      ++S.ParamSets;
+    }
 
     // Translate the requests before checking so their symbols exist.
     std::vector<std::vector<z3::expr>> RequestExprs;

@@ -170,6 +170,11 @@ struct SmtSessionInfo {
   std::uint64_t QueriesServed = 0;
   /// Live solver scopes (0 when idle: every query pops its frames).
   unsigned Depth = 0;
+  /// The rlimit the session's solver currently carries (0 before its first
+  /// check), and how many times the session has set solver params: once on
+  /// its first check and again only when a check needs a different rlimit.
+  unsigned Rlimit = 0;
+  std::uint64_t ParamSets = 0;
 };
 SmtSessionInfo threadSmtSessionInfo();
 

@@ -51,7 +51,12 @@ struct ProgressSnapshot {
 
 /// Copies \p Src into the fixed char field \p Dst, truncating + NUL-ing.
 template <std::size_t N> inline void progressSetStr(char (&Dst)[N], const char *Src) {
-  std::size_t L = Src ? strnlen(Src, N - 1) : 0;
+  // A bounded scan rather than strnlen: Src is often a literal shorter than
+  // N - 1, and a strnlen bound past its end trips -Wstringop-overread.
+  std::size_t L = 0;
+  if (Src)
+    while (L < N - 1 && Src[L])
+      ++L;
   if (L)
     std::memcpy(Dst, Src, L);
   std::memset(Dst + L, 0, N - L);

@@ -14,9 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <thread>
+#include <vector>
 
 using namespace se2gis;
 
@@ -210,6 +212,64 @@ TEST(ChcChannelTest, CancellationMidRunStopsTheChannel) {
   EXPECT_LT(R.Stats.ElapsedMs, 30000.0);
 }
 
+/// Milliseconds since \p Start.
+double msSince(std::chrono::steady_clock::time_point Start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - Start)
+      .count();
+}
+
+TEST(ChcChannelTest, QueriesDoNotWaitOutTheWatchdogPoll) {
+  // The watchdog polls the budget every 20 ms; a query that finishes first
+  // must wake it, so FixedpointSolver::query costs about what the bare Z3
+  // query costs. Each round solves the same small system (r(0), r(x) ∧
+  // x < 3 → r(x + 1); goal r(3) derivable or r(5) underivable) once
+  // through z3::fixedpoint directly and once through the wrapper, each on
+  // a fresh context, and the median of the differences must stay well
+  // under one poll period. A wrapper whose join waits out the poll adds
+  // most of 20 ms to every query that outlasts the watchdog's start.
+  constexpr int Batch = 16;
+  std::vector<double> OverheadMs;
+  for (int I = 0; I < Batch; ++I) {
+    int Goal = I % 2 ? 5 : 3;
+    double RawMs = 0;
+    {
+      z3::context C;
+      z3::fixedpoint Fp(C);
+      z3::func_decl R = C.function("r", C.int_sort(), C.bool_sort());
+      Fp.register_relation(R);
+      z3::expr Base = R(C.int_val(0));
+      Fp.add_rule(Base, C.str_symbol("base"));
+      z3::expr X = C.int_const("x");
+      z3::expr_vector Bound(C);
+      Bound.push_back(X);
+      z3::expr Step = z3::forall(Bound, z3::implies(R(X) && X < 3, R(X + 1)));
+      Fp.add_rule(Step, C.str_symbol("step"));
+      z3::expr G = R(C.int_val(Goal));
+      auto Start = std::chrono::steady_clock::now();
+      EXPECT_EQ(Fp.query(G), Goal == 3 ? z3::sat : z3::unsat);
+      RawMs = msSince(Start);
+    }
+    FixedpointSolver FP;
+    z3::context &C = FP.ctx();
+    z3::func_decl R = C.function("r", C.int_sort(), C.bool_sort());
+    FP.registerRelation(R);
+    FP.addFact(R(C.int_val(0)), "base");
+    z3::expr X = C.int_const("x");
+    z3::expr_vector Bound(C);
+    Bound.push_back(X);
+    FP.addRule(Bound, R(X) && X < 3, R(X + 1), "step");
+    auto Start = std::chrono::steady_clock::now();
+    EXPECT_EQ(FP.query(R(C.int_val(Goal)), 5000, Deadline()),
+              Goal == 3 ? FixedpointSolver::Result::Derivable
+                        : FixedpointSolver::Result::Underivable);
+    OverheadMs.push_back(msSince(Start) - RawMs);
+  }
+  std::nth_element(OverheadMs.begin(), OverheadMs.begin() + Batch / 2,
+                   OverheadMs.end());
+  EXPECT_LT(OverheadMs[Batch / 2], 5.0);
+}
+
 // --- Evidence provenance ------------------------------------------------===//
 
 TEST(EvidenceTest, ChcVerdictCarriesClauseCount) {
@@ -294,8 +354,9 @@ TEST(UnrealModeTest, ChcModeSuppressesWitnessChannel) {
   Opts.TimeoutMs = 20000;
   Opts.Unreal = UnrealMode::Chc;
   Outcome R = runAlgorithm(AlgorithmKind::SE2GIS, P, Opts);
-  if (R.V == Verdict::Unrealizable)
+  if (R.V == Verdict::Unrealizable) {
     EXPECT_EQ(R.Ev.Source, VerdictSource::Chc) << R.Ev.str();
+  }
 }
 
 } // namespace

@@ -4,9 +4,10 @@
 /// Covers the session layer of DESIGN.md "Incremental SMT model": verdict
 /// parity between incremental sessions and fresh contexts, push/pop scope
 /// semantics (including frame-scoped model readback), per-thread reuse,
-/// the busy/nested fallback, budget-expiry behavior, and seed-change
-/// invalidation. Everything here uses only the public SmtQuery surface —
-/// the session is observed through threadSmtSessionInfo and perf counters.
+/// the busy/nested fallback, budget-expiry behavior, seed-change
+/// invalidation, and solver params being set only when the rlimit changes.
+/// Everything here uses only the public SmtQuery surface — the session is
+/// observed through threadSmtSessionInfo and perf counters.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -253,6 +254,104 @@ TEST(SmtSessionTest, SeedChangeInvalidatesSession) {
   SmtSessionInfo Info = threadSmtSessionInfo();
   EXPECT_GT(Info.Generation, GenBefore);
   EXPECT_EQ(Info.QueriesServed, 1u); // freshly seeded session
+}
+
+/// Pigeonhole over ints: \p N + 1 pairwise-distinct values in [0, N).
+/// Unsat, but refuting it takes Z3 real search, far past a 1 ms rlimit.
+std::vector<TermPtr> pigeonhole(int N) {
+  std::vector<TermPtr> Pigeons;
+  std::vector<TermPtr> Out;
+  for (int I = 0; I <= N; ++I) {
+    TermPtr P = mkVar(freshVar("p", Type::intTy()));
+    Out.push_back(mkOp(OpKind::Ge, {P, mkIntLit(0)}));
+    Out.push_back(mkOp(OpKind::Lt, {P, mkIntLit(N)}));
+    for (const TermPtr &Q : Pigeons)
+      Out.push_back(mkOp(OpKind::Ne, {P, Q}));
+    Pigeons.push_back(P);
+  }
+  return Out;
+}
+
+TEST(SmtSessionTest, SkippedParamSetKeepsTheBudget) {
+  IncrementalGuard G(true);
+  VarPtr X = freshVar("x", Type::intTy());
+  TermPtr A = mkOp(OpKind::Gt, {mkVar(X), mkIntLit(3)});
+  const std::vector<TermPtr> Hard = pigeonhole(6);
+
+  // A cheap query sets the warm session's params once.
+  EXPECT_EQ(quickCheck({A}, 1), SmtResult::Sat);
+  SmtSessionInfo Info = threadSmtSessionInfo();
+  EXPECT_EQ(Info.Rlimit, smtRlimitForTimeoutMs(1));
+  EXPECT_EQ(Info.ParamSets, 1u);
+  std::uint64_t Gen = Info.Generation;
+
+  // Same timeout, same rlimit: the set is skipped, yet the query that needs
+  // more than 1 ms of rlimit still runs out of it.
+  EXPECT_EQ(quickCheck(Hard, 1), SmtResult::Unknown);
+  Info = threadSmtSessionInfo();
+  EXPECT_EQ(Info.Generation, Gen);
+  EXPECT_EQ(Info.QueriesServed, 2u);
+  EXPECT_EQ(Info.ParamSets, 1u);
+
+  // The unknown recycled the session; the next one starts without params,
+  // and a larger timeout gets its own, larger rlimit — enough to decide.
+  EXPECT_EQ(quickCheck(Hard, 20000), SmtResult::Unsat);
+  Info = threadSmtSessionInfo();
+  EXPECT_GT(Info.Generation, Gen);
+  EXPECT_EQ(Info.Rlimit, smtRlimitForTimeoutMs(20000));
+  EXPECT_EQ(Info.ParamSets, 1u);
+
+  // Back to a small timeout on the same warm session: the rlimit changes
+  // again, so the params are set again and the budget bites again.
+  EXPECT_EQ(quickCheck(Hard, 1), SmtResult::Unknown);
+  Info = threadSmtSessionInfo();
+  EXPECT_EQ(Info.Rlimit, smtRlimitForTimeoutMs(1));
+  EXPECT_EQ(Info.ParamSets, 2u);
+}
+
+TEST(SmtSessionTest, DifferentTimeoutsOnOneSessionGetTheirOwnRlimit) {
+  IncrementalGuard G(true);
+  VarPtr X = freshVar("x", Type::intTy());
+  TermPtr A = mkOp(OpKind::Gt, {mkVar(X), mkIntLit(3)});
+
+  SmtSessionScope Scope;
+  for (int T : {2000, 2000, 5000, 5000, 2000}) {
+    EXPECT_EQ(quickCheck({A}, T), SmtResult::Sat);
+    EXPECT_EQ(threadSmtSessionInfo().Rlimit, smtRlimitForTimeoutMs(T));
+  }
+  SmtSessionInfo Info = threadSmtSessionInfo();
+  EXPECT_EQ(Info.QueriesServed, 5u);
+  EXPECT_EQ(Info.ParamSets, 3u); // 2000, 5000, 2000
+
+  // A deadline that clamps the budget is a different rlimit, too.
+  Deadline D = Deadline::afterMs(60000);
+  EXPECT_EQ(quickCheck({A}, 100000, nullptr, &D), SmtResult::Sat);
+  Info = threadSmtSessionInfo();
+  EXPECT_EQ(Info.ParamSets, 4u);
+  EXPECT_LE(Info.Rlimit, smtRlimitForTimeoutMs(60000));
+  EXPECT_GT(Info.Rlimit, smtRlimitForTimeoutMs(2000));
+}
+
+TEST(SmtSessionTest, SeededSessionAppliesParamsOnFirstCheck) {
+  IncrementalGuard G(true);
+  VarPtr X = freshVar("x", Type::intTy());
+  TermPtr A = mkOp(OpKind::Gt, {mkVar(X), mkIntLit(3)});
+
+  // Warm a default-seed session at the same timeout first: a seed change
+  // must not inherit its "params already set" state.
+  EXPECT_EQ(quickCheck({A}, 2000), SmtResult::Sat);
+  setSmtRandomSeed(777);
+  EXPECT_EQ(threadSmtSessionInfo().ParamSets, 1u);
+
+  SmtQuery Q;
+  Q.add(A);
+  SmtSessionInfo Info = threadSmtSessionInfo();
+  EXPECT_EQ(Info.QueriesServed, 1u); // the seeded replacement session
+  EXPECT_EQ(Info.ParamSets, 0u);
+  EXPECT_EQ(Q.checkSat(2000), SmtResult::Sat);
+  Info = threadSmtSessionInfo();
+  EXPECT_EQ(Info.ParamSets, 1u);
+  EXPECT_EQ(Info.Rlimit, smtRlimitForTimeoutMs(2000));
 }
 
 TEST(SmtSessionTest, UnknownSignatureChangeAcrossFramesAndQueries) {
