@@ -16,6 +16,7 @@
 #include "frontend/Elaborate.h"
 #include "smt/Solver.h"
 #include "suite/Benchmarks.h"
+#include "support/PerfCounters.h"
 #include "synth/Enumerator.h"
 #include "synth/Grammar.h"
 
@@ -125,6 +126,8 @@ void BM_SmtWarmQuery(benchmark::State &State) {
 BENCHMARK(BM_SmtWarmQuery);
 
 void BM_PbeEnumeration(benchmark::State &State) {
+  // Outputs no term reaches, so every iteration exhausts each size up to
+  // the bound: the argument scales the work instead of an early stop.
   GrammarConfig G;
   G.AllowMinMax = true;
   VarPtr A = freshVar("a", Type::intTy());
@@ -132,13 +135,18 @@ void BM_PbeEnumeration(benchmark::State &State) {
   std::vector<PbeExample> Ex;
   for (long long V = -2; V <= 2; ++V)
     Ex.push_back(PbeExample{
-        {{A->Id, Value::mkInt(V)}, {B->Id, Value::mkInt(-V)}},
-        Value::mkInt(std::max(V, -V))});
+        {{A->Id, Value::mkInt(V)}, {B->Id, Value::mkInt(V * V - 3)}},
+        Value::mkInt(1000003 * V + 17)});
+  std::uint64_t Before = snapshotPerf().get(PerfCounter::EnumCandidates);
   for (auto _ : State) {
     Enumerator En(G, {mkVar(A), mkVar(B)});
     benchmark::DoNotOptimize(
         En.synthesize(Type::intTy(), Ex, State.range(0), Deadline()));
   }
+  State.counters["candidates"] = benchmark::Counter(
+      static_cast<double>(snapshotPerf().get(PerfCounter::EnumCandidates) -
+                          Before),
+      benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_PbeEnumeration)->Arg(3)->Arg(5)->Arg(7);
 

@@ -99,8 +99,8 @@ enum class OpKind : unsigned char {
 /// \returns the printed spelling of \p Op (e.g. "+", "&&", "min").
 const char *opSpelling(OpKind Op);
 
-/// A 64-bit variant of boost::hash_combine. Shared by the structural term
-/// hash and the enumerator's observational-equivalence signatures.
+/// A 64-bit variant of boost::hash_combine, used by the structural term,
+/// value and canonical hashes.
 inline std::uint64_t hashCombine(std::uint64_t Seed, std::uint64_t V) {
   return Seed ^ (V + 0x9e3779b97f4a7c15ULL + (Seed << 12) + (Seed >> 4));
 }

@@ -60,8 +60,7 @@ private:
 bool valueEquals(const ValuePtr &A, const ValuePtr &B);
 
 /// Deep structural 64-bit hash, consistent with \c valueEquals (equal
-/// values hash equally). Used by the enumerator's observational-equivalence
-/// signatures.
+/// values hash equally). Used by the PBE-memo and cache keys.
 std::uint64_t valueHash(const ValuePtr &V);
 
 /// Orders values lexicographically; used for deterministic containers.

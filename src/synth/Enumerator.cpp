@@ -13,11 +13,11 @@
 #include "support/Stopwatch.h"
 #include "support/Trace.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdlib>
-#include <sstream>
-#include <unordered_map>
-#include <unordered_set>
+#include <cstring>
+#include <memory>
 
 using namespace se2gis;
 
@@ -111,45 +111,538 @@ ValuePtr se2gis::evalScalarTerm(const TermPtr &T, const Env &E) {
 Enumerator::Enumerator(const GrammarConfig &Config, std::vector<TermPtr> Leaves)
     : Config(Config), Leaves(std::move(Leaves)) {}
 
+const char *se2gis::enumStopName(EnumStop S) {
+  switch (S) {
+  case EnumStop::Found:
+    return "found";
+  case EnumStop::Exhausted:
+    return "exhausted";
+  case EnumStop::Deadline:
+    return "deadline";
+  case EnumStop::PoolFull:
+    return "pool_full";
+  }
+  return "unknown";
+}
+
 namespace {
 
-/// A pool entry: a deduplicated candidate term.
-struct Candidate {
-  TermPtr T;
+/// The grammar production that made a pool entry. Child indices point into
+/// the int pool, except for Not/And/Or (bool pool) and Ite's condition
+/// (bool pool). Const and Leaf index \c Search::Consts and the leaf list;
+/// BoolLit stores its value.
+enum class Prod : std::uint8_t {
+  Const,
+  BoolLit,
+  Leaf,
+  Neg,
+  Abs,
+  Not,
+  Add,
+  Sub,
+  Min,
+  Max,
+  Mul,
+  Div,
+  Mod,
+  Gt,
+  Le,
+  Eq,
+  And,
+  Or,
+  Ite
 };
 
-/// 64-bit observational-equivalence signature: the combined hash of the
-/// term's outputs on every example. Replaces the old string signature
-/// ("v1|v2|...|"), which allocated on every candidate in the hottest loop;
-/// candidate-vs-target matches are confirmed with \c valueEquals, so a
-/// hash collision can only over-prune, never produce a wrong solution.
-std::uint64_t signatureHashOf(const TermPtr &T,
-                              const std::vector<PbeExample> &Examples) {
-  std::uint64_t H = 1469598103934665603ULL;
-  for (const PbeExample &Ex : Examples)
-    H = hashCombine(H, valueHash(evalScalarTerm(T, Ex.Inputs)));
-  return H;
+/// How a pool entry was built, and its link in the dedup table.
+struct Node {
+  std::uint32_t Kid[3];
+  std::uint32_t Next; ///< next entry of the same bucket, plus one (0 ends)
+  std::uint32_t Hash; ///< low bits of the vector's hash
+  Prod P;
+};
+
+/// Hash of a packed output vector (dedup buckets and a cheap pre-check
+/// before the exact comparison).
+std::uint64_t hashWords(const std::uint64_t *V, std::size_t N) {
+  std::uint64_t H = 0x9e3779b97f4a7c15ULL ^ N;
+  for (std::size_t I = 0; I < N; ++I) {
+    H ^= V[I];
+    H *= 0xbf58476d1ce4e5b9ULL;
+    H ^= H >> 31;
+  }
+  H *= 0x94d049bb133111ebULL;
+  return H ^ (H >> 29);
 }
 
-/// The old allocation-heavy string signature, kept for the debug
-/// cross-check below.
-std::string signatureStringOf(const TermPtr &T,
-                              const std::vector<PbeExample> &Examples) {
-  std::ostringstream OS;
-  for (const PbeExample &Ex : Examples)
-    OS << evalScalarTerm(T, Ex.Inputs)->str() << '|';
-  return OS.str();
-}
+/// Heap is taken in chunks of about this size, so a growing pool never
+/// moves or copies what it already holds.
+constexpr std::size_t ChunkBytes = std::size_t(64) << 10;
 
-/// SE2GIS_CHECK_SIGNATURES=1 cross-checks every hash signature against the
-/// string form and aborts on a collision (distinct strings, equal hash).
-bool checkSignaturesEnabled() {
-  static const bool Enabled = [] {
-    const char *E = std::getenv("SE2GIS_CHECK_SIGNATURES");
-    return E && *E && *E != '0';
-  }();
-  return Enabled;
-}
+/// The pool of one type: fixed-width entries of \c Words 64-bit words (an
+/// int64 per example, or one bit per example) in chunks, with an exact
+/// dedup table over the vectors. Entries of one size are contiguous.
+class VecPool {
+public:
+  explicit VecPool(std::size_t Words) : Words(Words) {
+    std::size_t EntryBytes = sizeof(Node) + Words * 8;
+    while ((EntryBytes << (Shift + 1)) <= ChunkBytes)
+      ++Shift;
+    Mask = (std::uint32_t(1) << Shift) - 1;
+  }
+
+  std::size_t words() const { return Words; }
+  std::uint32_t size() const { return Count; }
+  const std::uint64_t *vec(std::uint32_t I) const {
+    return Vecs[I >> Shift].get() + std::size_t(I & Mask) * Words;
+  }
+  const Node &node(std::uint32_t I) const {
+    return Nodes[I >> Shift][I & Mask];
+  }
+
+  /// \returns true if an entry with vector \p V (hash \p H) is stored.
+  bool contains(const std::uint64_t *V, std::uint64_t H) const {
+    if (Buckets.empty())
+      return false;
+    auto H32 = static_cast<std::uint32_t>(H);
+    for (std::uint32_t E = Buckets[H32 & (Buckets.size() - 1)]; E;) {
+      const Node &N = node(E - 1);
+      if (N.Hash == H32 && std::memcmp(vec(E - 1), V, Words * 8) == 0)
+        return true;
+      E = N.Next;
+    }
+    return false;
+  }
+
+  /// Stores a new entry. \returns false, storing nothing, when the heap
+  /// this needs would take \p Held (shared by both pools) past
+  /// \c EnumPoolBytes.
+  bool push(Prod P, std::uint32_t K0, std::uint32_t K1, std::uint32_t K2,
+            const std::uint64_t *V, std::uint64_t H, std::size_t &Held) {
+    bool NewChunk = (Count & Mask) == 0;
+    bool Grow = Count >= Buckets.size();
+    std::size_t ChunkCost =
+        NewChunk ? (std::size_t(Mask) + 1) * (sizeof(Node) + Words * 8) : 0;
+    std::size_t NewBuckets = Buckets.empty() ? 64 : Buckets.size() * 2;
+    // While growing, the old and the new table are both live.
+    std::size_t GrowCost = Grow ? NewBuckets * sizeof(std::uint32_t) : 0;
+    if (Held + ChunkCost + GrowCost > EnumPoolBytes)
+      return false;
+    if (NewChunk) {
+      Nodes.push_back(std::make_unique_for_overwrite<Node[]>(Mask + 1));
+      Vecs.push_back(std::make_unique_for_overwrite<std::uint64_t[]>(
+          (std::size_t(Mask) + 1) * Words));
+      Held += ChunkCost;
+    }
+    std::uint32_t I = Count++;
+    Node &N = Nodes[I >> Shift][I & Mask];
+    N = Node{{K0, K1, K2}, 0, static_cast<std::uint32_t>(H), P};
+    std::memcpy(Vecs[I >> Shift].get() + std::size_t(I & Mask) * Words, V,
+                Words * 8);
+    if (Grow) {
+      Held += (NewBuckets - Buckets.size()) * sizeof(std::uint32_t);
+      Buckets.assign(NewBuckets, 0);
+      for (std::uint32_t J = 0; J < I; ++J)
+        link(J);
+    }
+    link(I);
+    return true;
+  }
+
+private:
+  void link(std::uint32_t I) {
+    Node &N = Nodes[I >> Shift][I & Mask];
+    std::uint32_t &Head = Buckets[N.Hash & (Buckets.size() - 1)];
+    N.Next = Head;
+    Head = I + 1;
+  }
+
+  std::size_t Words;
+  unsigned Shift = 0;
+  std::uint32_t Mask = 0;
+  std::uint32_t Count = 0;
+  std::vector<std::unique_ptr<Node[]>> Nodes;
+  std::vector<std::unique_ptr<std::uint64_t[]>> Vecs;
+  std::vector<std::uint32_t> Buckets;
+};
+
+/// One bottom-up search over packed output vectors. Candidates are offered
+/// in size-then-grammar order; that order decides which of several
+/// matching terms is returned (tests/Enumerator2Test.cpp pins it).
+class Search {
+public:
+  Search(const GrammarConfig &Config, const std::vector<TermPtr> &Leaves,
+         const std::vector<PbeExample> &Examples, bool WantInt,
+         const Deadline &Budget)
+      : Config(Config), Leaves(Leaves), Examples(Examples), WantInt(WantInt),
+        Budget(Budget), N(Examples.size()),
+        BoolWords(std::max<std::size_t>(1, (N + 63) / 64)), Int(N),
+        Bool(BoolWords), IntOut(N), BoolOut(BoolWords),
+        Target(WantInt ? N : BoolWords, 0),
+        Consts(Config.Constants.begin(), Config.Constants.end()) {
+    LastMask = N % 64 ? (std::uint64_t(1) << (N % 64)) - 1 : ~std::uint64_t(0);
+    for (std::size_t K = 0; K < N; ++K) {
+      const ValuePtr &O = Examples[K].Output;
+      if (WantInt ? !O->isInt() : !O->isBool()) {
+        TargetReachable = false;
+        break;
+      }
+      if (WantInt)
+        Target[K] = static_cast<std::uint64_t>(O->getInt());
+      else if (O->getBool())
+        Target[K / 64] |= std::uint64_t(1) << (K % 64);
+    }
+    TargetHash = hashWords(Target.data(), Target.size());
+  }
+
+  std::optional<TermPtr> run(int MaxSize) {
+    Stats.SizeReached = 1;
+    IntStart.assign(std::max(MaxSize, 1) + 2, 0);
+    BoolStart.assign(std::max(MaxSize, 1) + 2, 0);
+    if (!leaves())
+      for (int Size = 2; Size <= MaxSize; ++Size) {
+        if (Budget.expired()) {
+          Stats.Stop = EnumStop::Deadline;
+          break;
+        }
+        Stats.SizeReached = Size;
+        IntStart[Size] = Int.size();
+        BoolStart[Size] = Bool.size();
+        if (unary(Size) || binary(Size) || conditionals(Size))
+          break;
+      }
+    if (Stats.Stop != EnumStop::Found)
+      return std::nullopt;
+    return build(Winner.P, Winner.Kid);
+  }
+
+  const EnumSearchStats &stats() const { return Stats; }
+
+private:
+  struct Range {
+    std::uint32_t Begin, End;
+  };
+  Range ints(int Size) const { return {IntStart[Size], IntStart[Size + 1]}; }
+  Range bools(int Size) const {
+    return {BoolStart[Size], BoolStart[Size + 1]};
+  }
+
+  /// Counts one candidate. \returns true when the deadline stops the
+  /// search (polled once per PollGate stride).
+  bool tick() {
+    if (Gate.tick(Budget)) {
+      Stats.Stop = EnumStop::Deadline;
+      return true;
+    }
+    ++Stats.Candidates;
+    return false;
+  }
+
+  /// Offers the candidate whose vector is in \c IntOut / \c BoolOut.
+  /// \returns true when the search stops (match, deadline or full pool).
+  template <bool IsInt>
+  bool offer(Prod P, std::uint32_t K0, std::uint32_t K1 = 0,
+             std::uint32_t K2 = 0) {
+    if (tick())
+      return true;
+    VecPool &Pool = IsInt ? Int : Bool;
+    const std::uint64_t *V = IsInt ? IntOut.data() : BoolOut.data();
+    std::uint64_t H = hashWords(V, Pool.words());
+    if (Pool.contains(V, H)) {
+      ++Stats.Pruned;
+      return false;
+    }
+    if (IsInt == WantInt && TargetReachable && H == TargetHash &&
+        std::memcmp(V, Target.data(), Pool.words() * 8) == 0) {
+      Winner = Node{{K0, K1, K2}, 0, 0, P};
+      Stats.Stop = EnumStop::Found;
+      return true;
+    }
+    if (!Pool.push(P, K0, K1, K2, V, H, Held)) {
+      Stats.Stop = EnumStop::PoolFull;
+      return true;
+    }
+    return false;
+  }
+
+  /// Evaluates leaf \p L once per example into the output buffer.
+  /// \returns false if it is unbound in some example.
+  bool evalLeaf(const TermPtr &L, bool IsInt) {
+    if (!IsInt)
+      std::fill(BoolOut.begin(), BoolOut.end(), 0);
+    try {
+      for (std::size_t K = 0; K < N; ++K) {
+        ValuePtr V = evalScalarTerm(L, Examples[K].Inputs);
+        if (IsInt)
+          IntOut[K] = static_cast<std::uint64_t>(V->getInt());
+        else if (V->getBool())
+          BoolOut[K / 64] |= std::uint64_t(1) << (K % 64);
+      }
+    } catch (const UserError &) {
+      return false;
+    }
+    return true;
+  }
+
+  /// Size 1: constants, boolean literals, and leaves. \returns true when
+  /// the search stops.
+  bool leaves() {
+    for (std::uint32_t CI = 0; CI < Consts.size(); ++CI) {
+      std::fill(IntOut.begin(), IntOut.end(),
+                static_cast<std::uint64_t>(Consts[CI]));
+      if (offer<true>(Prod::Const, CI))
+        return true;
+    }
+    for (std::uint32_t B : {0u, 1u}) {
+      std::fill(BoolOut.begin(), BoolOut.end(), B ? ~std::uint64_t(0) : 0);
+      BoolOut.back() &= LastMask;
+      if (offer<false>(Prod::BoolLit, B))
+        return true;
+    }
+    for (std::uint32_t LI = 0; LI < Leaves.size(); ++LI) {
+      const TermPtr &L = Leaves[LI];
+      bool IsInt = L->getType()->isInt();
+      if (!IsInt && !L->getType()->isBool())
+        continue;
+      if (!evalLeaf(L, IsInt)) {
+        // Counted as a candidate; never enters the pool.
+        if (tick())
+          return true;
+        continue;
+      }
+      if (IsInt ? offer<true>(Prod::Leaf, LI) : offer<false>(Prod::Leaf, LI))
+        return true;
+    }
+    return false;
+  }
+
+  /// Unary operators over the previous size.
+  bool unary(int Size) {
+    auto [AB, AE] = ints(Size - 1);
+    for (std::uint32_t A = AB; A < AE; ++A) {
+      const std::uint64_t *X = Int.vec(A);
+      for (std::size_t K = 0; K < N; ++K)
+        IntOut[K] = 0 - X[K];
+      if (offer<true>(Prod::Neg, A))
+        return true;
+      if (Config.AllowAbs) {
+        for (std::size_t K = 0; K < N; ++K)
+          IntOut[K] = static_cast<std::int64_t>(X[K]) < 0 ? 0 - X[K] : X[K];
+        if (offer<true>(Prod::Abs, A))
+          return true;
+      }
+    }
+    auto [BB, BE] = bools(Size - 1);
+    for (std::uint32_t A = BB; A < BE; ++A) {
+      const std::uint64_t *X = Bool.vec(A);
+      for (std::size_t W = 0; W < BoolWords; ++W)
+        BoolOut[W] = ~X[W];
+      BoolOut.back() &= LastMask;
+      if (offer<false>(Prod::Not, A))
+        return true;
+    }
+    return false;
+  }
+
+  /// Packs \p Bit(K) for every example into \c BoolOut.
+  template <typename F> void packBits(F Bit) {
+    for (std::size_t W = 0, K = 0; W < BoolWords; ++W) {
+      std::uint64_t Bits = 0;
+      std::size_t End = std::min(N, K + 64);
+      for (unsigned J = 0; K < End; ++K, ++J)
+        Bits |= std::uint64_t(Bit(K)) << J;
+      BoolOut[W] = Bits;
+    }
+  }
+
+  /// Binary operators: left size + right size = Size - 1.
+  bool binary(int Size) {
+    for (int LS = 1; LS + 1 < Size; ++LS) {
+      int RS = Size - 1 - LS;
+      auto [AB, AE] = ints(LS);
+      auto [RB, RE] = ints(RS);
+      for (std::uint32_t A = AB; A < AE; ++A)
+        for (std::uint32_t B = RB; B < RE; ++B)
+          if (intPair(A, B))
+            return true;
+      auto [CB, CE] = bools(LS);
+      auto [DB, DE] = bools(RS);
+      for (std::uint32_t A = CB; A < CE; ++A)
+        for (std::uint32_t B = DB; B < DE; ++B) {
+          const std::uint64_t *X = Bool.vec(A), *Y = Bool.vec(B);
+          for (std::size_t W = 0; W < BoolWords; ++W)
+            BoolOut[W] = X[W] & Y[W];
+          if (offer<false>(Prod::And, A, B))
+            return true;
+          for (std::size_t W = 0; W < BoolWords; ++W)
+            BoolOut[W] = X[W] | Y[W];
+          if (offer<false>(Prod::Or, A, B))
+            return true;
+        }
+    }
+    return false;
+  }
+
+  /// Every int x int production for one pair, in grammar order.
+  bool intPair(std::uint32_t A, std::uint32_t B) {
+    const std::uint64_t *X = Int.vec(A), *Y = Int.vec(B);
+    auto SX = [X](std::size_t K) { return static_cast<std::int64_t>(X[K]); };
+    auto SY = [Y](std::size_t K) { return static_cast<std::int64_t>(Y[K]); };
+    for (std::size_t K = 0; K < N; ++K)
+      IntOut[K] = X[K] + Y[K];
+    if (offer<true>(Prod::Add, A, B))
+      return true;
+    for (std::size_t K = 0; K < N; ++K)
+      IntOut[K] = X[K] - Y[K];
+    if (offer<true>(Prod::Sub, A, B))
+      return true;
+    if (Config.AllowMinMax) {
+      for (std::size_t K = 0; K < N; ++K)
+        IntOut[K] = SX(K) < SY(K) ? X[K] : Y[K];
+      if (offer<true>(Prod::Min, A, B))
+        return true;
+      for (std::size_t K = 0; K < N; ++K)
+        IntOut[K] = SX(K) < SY(K) ? Y[K] : X[K];
+      if (offer<true>(Prod::Max, A, B))
+        return true;
+    }
+    // The Appendix-B.4 grammar only multiplies by constants, but references
+    // like weighted sums need general products; allow them whenever
+    // multiplication appears in the specification.
+    if (Config.AllowMul) {
+      for (std::size_t K = 0; K < N; ++K)
+        IntOut[K] = X[K] * Y[K];
+      if (offer<true>(Prod::Mul, A, B))
+        return true;
+    }
+    // Div and Mod take only a literal divisor (leaves are variables and
+    // projections, so only constants are literals).
+    if ((Config.AllowDiv || Config.AllowMod) &&
+        Int.node(B).P == Prod::Const) {
+      long long Lit = Consts[Int.node(B).Kid[0]];
+      if (Config.AllowDiv && Lit != 0) {
+        for (std::size_t K = 0; K < N; ++K)
+          IntOut[K] = static_cast<std::uint64_t>(euclidDiv(SX(K), Lit));
+        if (offer<true>(Prod::Div, A, B))
+          return true;
+      }
+      if (Config.AllowMod && Lit > 1) {
+        for (std::size_t K = 0; K < N; ++K)
+          IntOut[K] = static_cast<std::uint64_t>(euclidMod(SX(K), Lit));
+        if (offer<true>(Prod::Mod, A, B))
+          return true;
+      }
+    }
+    // Comparisons (feed the boolean pool). Le is the complement of Gt.
+    packBits([&](std::size_t K) { return SX(K) > SY(K); });
+    if (offer<false>(Prod::Gt, A, B))
+      return true;
+    for (std::size_t W = 0; W < BoolWords; ++W)
+      BoolOut[W] = ~BoolOut[W];
+    BoolOut.back() &= LastMask;
+    if (offer<false>(Prod::Le, A, B))
+      return true;
+    packBits([&](std::size_t K) { return X[K] == Y[K]; });
+    return offer<false>(Prod::Eq, A, B);
+  }
+
+  /// Conditionals: cond + then + else = Size - 1.
+  bool conditionals(int Size) {
+    if (!Config.AllowIte)
+      return false;
+    for (int CS = 1; CS + 2 < Size; ++CS)
+      for (int TS = 1; CS + TS + 1 < Size; ++TS) {
+        int ES = Size - 1 - CS - TS;
+        auto [CB, CE] = bools(CS);
+        auto [TB, TE] = ints(TS);
+        auto [EB, EE] = ints(ES);
+        for (std::uint32_t C = CB; C < CE; ++C) {
+          const std::uint64_t *Cond = Bool.vec(C);
+          for (std::uint32_t A = TB; A < TE; ++A) {
+            const std::uint64_t *X = Int.vec(A);
+            for (std::uint32_t B = EB; B < EE; ++B) {
+              const std::uint64_t *Y = Int.vec(B);
+              for (std::size_t K = 0; K < N; ++K)
+                IntOut[K] = (Cond[K / 64] >> (K % 64)) & 1 ? X[K] : Y[K];
+              if (offer<true>(Prod::Ite, C, A, B))
+                return true;
+            }
+          }
+        }
+      }
+    return false;
+  }
+
+  /// Builds the term of a production; only the winner's term is built.
+  TermPtr build(Prod P, const std::uint32_t *K) const {
+    auto IntT = [&](std::uint32_t I) { return build(Int.node(I)); };
+    auto BoolT = [&](std::uint32_t I) { return build(Bool.node(I)); };
+    switch (P) {
+    case Prod::Const:
+      return mkIntLit(Consts[K[0]]);
+    case Prod::BoolLit:
+      return mkBoolLit(K[0] != 0);
+    case Prod::Leaf:
+      return Leaves[K[0]];
+    case Prod::Neg:
+      return mkOp(OpKind::Neg, {IntT(K[0])});
+    case Prod::Abs:
+      return mkOp(OpKind::Abs, {IntT(K[0])});
+    case Prod::Not:
+      return mkNot(BoolT(K[0]));
+    case Prod::Add:
+      return mkAdd(IntT(K[0]), IntT(K[1]));
+    case Prod::Sub:
+      return mkSub(IntT(K[0]), IntT(K[1]));
+    case Prod::Min:
+      return mkOp(OpKind::Min, {IntT(K[0]), IntT(K[1])});
+    case Prod::Max:
+      return mkOp(OpKind::Max, {IntT(K[0]), IntT(K[1])});
+    case Prod::Mul:
+      return mkOp(OpKind::Mul, {IntT(K[0]), IntT(K[1])});
+    case Prod::Div:
+      return mkOp(OpKind::Div, {IntT(K[0]), IntT(K[1])});
+    case Prod::Mod:
+      return mkOp(OpKind::Mod, {IntT(K[0]), IntT(K[1])});
+    case Prod::Gt:
+      return mkOp(OpKind::Gt, {IntT(K[0]), IntT(K[1])});
+    case Prod::Le:
+      return mkOp(OpKind::Le, {IntT(K[0]), IntT(K[1])});
+    case Prod::Eq:
+      return mkEq(IntT(K[0]), IntT(K[1]));
+    case Prod::And:
+      return mkAndList({BoolT(K[0]), BoolT(K[1])});
+    case Prod::Or:
+      return mkOrList({BoolT(K[0]), BoolT(K[1])});
+    case Prod::Ite:
+      return mkIte(BoolT(K[0]), IntT(K[1]), IntT(K[2]));
+    }
+    fatalError("unhandled enumerator production");
+  }
+  TermPtr build(const Node &E) const { return build(E.P, E.Kid); }
+
+  const GrammarConfig &Config;
+  const std::vector<TermPtr> &Leaves;
+  const std::vector<PbeExample> &Examples;
+  bool WantInt;
+  const Deadline &Budget;
+  std::size_t N;         ///< examples, i.e. lanes of an int vector
+  std::size_t BoolWords; ///< words of a bool vector
+  std::uint64_t LastMask;
+  VecPool Int, Bool;
+  std::vector<std::uint32_t> IntStart, BoolStart; ///< first entry per size
+  std::vector<std::uint64_t> IntOut, BoolOut;     ///< the offered vector
+  std::vector<std::uint64_t> Target;
+  std::uint64_t TargetHash = 0;
+  bool TargetReachable = true;
+  std::vector<long long> Consts;
+  std::size_t Held = 0; ///< heap held by both pools
+  // Deadline polling is decimated: one clock read per PollGate stride of
+  // candidates, so cancellation latency stays bounded without taxing the
+  // hottest loop in the solver.
+  PollGate Gate;
+  EnumSearchStats Stats;
+  Node Winner{};
+};
 
 } // namespace
 
@@ -247,15 +740,19 @@ Enumerator::synthesizeScalar(const TypePtr &OutTy,
   if (Span.active()) {
     Span.arg("examples", static_cast<std::uint64_t>(Examples.size()));
     Span.arg("max_size", static_cast<std::int64_t>(MaxSize));
-    Span.arg("found", R ? "yes" : "no");
+    Span.arg("size_reached",
+             static_cast<std::int64_t>(LastSearch.SizeReached));
+    Span.arg("candidates", LastSearch.Candidates);
+    Span.arg("pruned", LastSearch.Pruned);
+    Span.arg("stop", enumStopName(LastSearch.Stop));
   }
   if (HaveKey) {
     if (R) {
       std::string Text = termToText(*R, Leaves);
       if (!Text.empty())
         pbeMemo().insert(MemoKey, PbeMemoEntry{true, std::move(Text)});
-    } else if (!Budget.expired()) {
-      // The search ran dry (not out of time): a definitive negative.
+    } else if (LastSearch.Stop == EnumStop::Exhausted) {
+      // The search ran dry (not out of time or pool): a definitive negative.
       pbeMemo().insert(MemoKey, PbeMemoEntry{false, {}});
     }
   }
@@ -266,188 +763,11 @@ std::optional<TermPtr>
 Enumerator::enumerateScalar(const TypePtr &OutTy,
                             const std::vector<PbeExample> &Examples,
                             int MaxSize, const Deadline &Budget) {
-  bool WantInt = OutTy->isInt();
-
-  std::uint64_t Target = 1469598103934665603ULL;
-  for (const PbeExample &Ex : Examples)
-    Target = hashCombine(Target, valueHash(Ex.Output));
-
-  // Size-indexed pools (index 0 unused).
-  std::vector<std::vector<Candidate>> IntPool(MaxSize + 1);
-  std::vector<std::vector<Candidate>> BoolPool(MaxSize + 1);
-  std::unordered_set<std::uint64_t> SeenInt, SeenBool;
-  SeenInt.reserve(1024);
-  SeenBool.reserve(1024);
-  // Debug collision oracle: hash -> string signature (per type pool).
-  std::unordered_map<std::uint64_t, std::string> OracleInt, OracleBool;
-  std::optional<TermPtr> Found;
-
-  // A hash match against the target is confirmed value-by-value, so a
-  // collision cannot yield an incorrect solution.
-  auto MatchesTarget = [&](const TermPtr &T) {
-    for (const PbeExample &Ex : Examples)
-      if (!valueEquals(evalScalarTerm(T, Ex.Inputs), Ex.Output))
-        return false;
-    return true;
-  };
-
-  // Deadline polling is decimated: one clock read per PollGate stride of
-  // candidates, so cancellation latency stays bounded without taxing the
-  // hottest loop in the solver.
-  PollGate Gate;
-  bool Expired = false;
-
-  auto Consider = [&](TermPtr T, int Size) -> bool {
-    if (Found || Expired)
-      return true;
-    if (Gate.tick(Budget)) {
-      Expired = true;
-      return true;
-    }
-    countEvent(CounterKind::PbeCandidates);
-    perfAdd(PerfCounter::EnumCandidates);
-    bool IsInt = T->getType()->isInt();
-    std::uint64_t Sig;
-    try {
-      Sig = signatureHashOf(T, Examples);
-    } catch (const UserError &) {
-      return false; // unbound leaf for these examples; skip
-    }
-    if (checkSignaturesEnabled()) {
-      auto &Oracle = IsInt ? OracleInt : OracleBool;
-      std::string Str = signatureStringOf(T, Examples);
-      auto [It, Fresh] = Oracle.emplace(Sig, Str);
-      if (!Fresh && It->second != Str)
-        fatalError("observational-equivalence hash collision: \"" +
-                   It->second + "\" vs \"" + Str + "\"");
-    }
-    auto &Seen = IsInt ? SeenInt : SeenBool;
-    if (!Seen.insert(Sig).second) {
-      perfAdd(PerfCounter::EnumPruned);
-      return false;
-    }
-    if (IsInt == WantInt && Sig == Target && MatchesTarget(T)) {
-      Found = std::move(T);
-      return true;
-    }
-    auto &Pool = IsInt ? IntPool : BoolPool;
-    Pool[Size].push_back(Candidate{std::move(T)});
-    return false;
-  };
-
-  // Size 1: constants, boolean literals, and leaves.
-  for (long long C : Config.Constants)
-    if (Consider(mkIntLit(C), 1))
-      return Found;
-  for (bool B : {false, true})
-    if (Consider(mkBoolLit(B), 1))
-      return Found;
-  for (const TermPtr &L : Leaves)
-    if (L->getType()->isInt() || L->getType()->isBool())
-      if (Consider(L, 1))
-        return Found;
-
-  auto ForPool = [&](std::vector<std::vector<Candidate>> &Pool, int Size,
-                     auto Fn) {
-    for (const Candidate &C : Pool[Size])
-      if (Fn(C))
-        return true;
-    return false;
-  };
-
-  for (int Size = 2; Size <= MaxSize; ++Size) {
-    if (Budget.expired())
-      return std::nullopt;
-
-    // Unary integer operators.
-    [[maybe_unused]] bool Stop = ForPool(IntPool, Size - 1, [&](const Candidate &A) {
-      if (Consider(mkOp(OpKind::Neg, {A.T}), Size))
-        return true;
-      if (Config.AllowAbs && Consider(mkOp(OpKind::Abs, {A.T}), Size))
-        return true;
-      return false;
-    });
-    if (Found || Expired)
-      return Found;
-
-    // Unary boolean.
-    ForPool(BoolPool, Size - 1, [&](const Candidate &A) {
-      return Consider(mkNot(A.T), Size);
-    });
-    if (Found || Expired)
-      return Found;
-
-    // Binary operators (left size + right size = Size - 1).
-    for (int LS = 1; LS + 1 < Size; ++LS) {
-      int RS = Size - 1 - LS;
-      ForPool(IntPool, LS, [&](const Candidate &A) {
-        return ForPool(IntPool, RS, [&](const Candidate &B) {
-          if (Consider(mkAdd(A.T, B.T), Size))
-            return true;
-          if (Consider(mkSub(A.T, B.T), Size))
-            return true;
-          if (Config.AllowMinMax) {
-            if (Consider(mkOp(OpKind::Min, {A.T, B.T}), Size))
-              return true;
-            if (Consider(mkOp(OpKind::Max, {A.T, B.T}), Size))
-              return true;
-          }
-          // The Appendix-B.4 grammar only multiplies by constants, but
-          // references like weighted sums need general products; allow them
-          // whenever multiplication appears in the specification.
-          if (Config.AllowMul)
-            if (Consider(mkOp(OpKind::Mul, {A.T, B.T}), Size))
-              return true;
-          if (Config.AllowDiv && B.T->getKind() == TermKind::IntLit &&
-              B.T->getIntValue() != 0)
-            if (Consider(mkOp(OpKind::Div, {A.T, B.T}), Size))
-              return true;
-          if (Config.AllowMod && B.T->getKind() == TermKind::IntLit &&
-              B.T->getIntValue() > 1)
-            if (Consider(mkOp(OpKind::Mod, {A.T, B.T}), Size))
-              return true;
-          // Comparisons (feed the boolean pool).
-          if (Consider(mkOp(OpKind::Gt, {A.T, B.T}), Size))
-            return true;
-          if (Consider(mkOp(OpKind::Le, {A.T, B.T}), Size))
-            return true;
-          if (Consider(mkEq(A.T, B.T), Size))
-            return true;
-          return false;
-        });
-      });
-      if (Found || Expired)
-        return Found;
-      ForPool(BoolPool, LS, [&](const Candidate &A) {
-        return ForPool(BoolPool, RS, [&](const Candidate &B) {
-          if (Consider(mkAndList({A.T, B.T}), Size))
-            return true;
-          if (Consider(mkOrList({A.T, B.T}), Size))
-            return true;
-          return false;
-        });
-      });
-      if (Found || Expired)
-        return Found;
-    }
-
-    // Conditionals: cond + then + else = Size - 1.
-    if (Config.AllowIte) {
-      for (int CS = 1; CS + 2 < Size; ++CS) {
-        for (int TS = 1; CS + TS + 1 < Size; ++TS) {
-          int ES = Size - 1 - CS - TS;
-          ForPool(BoolPool, CS, [&](const Candidate &C) {
-            return ForPool(IntPool, TS, [&](const Candidate &A) {
-              return ForPool(IntPool, ES, [&](const Candidate &B) {
-                return Consider(mkIte(C.T, A.T, B.T), Size);
-              });
-            });
-          });
-          if (Found || Expired)
-            return Found;
-        }
-      }
-    }
-  }
-  return std::nullopt;
+  Search S(Config, Leaves, Examples, OutTy->isInt(), Budget);
+  auto R = S.run(MaxSize);
+  LastSearch = S.stats();
+  countEvent(CounterKind::PbeCandidates, LastSearch.Candidates);
+  perfAdd(PerfCounter::EnumCandidates, LastSearch.Candidates);
+  perfAdd(PerfCounter::EnumPruned, LastSearch.Pruned);
+  return R;
 }
