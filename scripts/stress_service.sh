@@ -21,14 +21,15 @@
 #      Perfetto-loadable flight-<jobid>.json under --flight-dir.
 #   6. Graceful drain: the daemon exits 0 by itself after `drain`, with
 #      the persistent store intact on disk.
-#   7. Shared cache tier: a se2gis_cached daemon warms a two-node fleet —
-#      node A's solves populate the daemon, node B's first solves of the
-#      same benchmarks report remote-cache hits with verdict parity
-#      against the direct CLI; kill -9 of the daemon mid-run degrades
+#   7. Shared cache tier: an `se2gis_served --cache disk` tier warms a
+#      two-node fleet — node A's solves populate the tier, node B's first
+#      solves of the same benchmarks report remote-cache hits (node B's
+#      Prometheus scrape and the tier's `stats` both nonzero) with verdict
+#      parity against the direct CLI; kill -9 of the tier mid-run degrades
 #      node B to local-only with zero failed or changed verdicts; a few
 #      se2gis_fuzz --gen-seed cases run the remote matrix column; and the
-#      cached daemon restarted on the same store directory reports the
-#      warm entries before a clean client-driven drain.
+#      tier restarted on the same store directory reports the warm
+#      entries before a clean client-driven drain.
 #
 # Usage: scripts/stress_service.sh [build-dir] [clients] [jobs-per-client]
 #   build-dir        default: build
@@ -42,13 +43,12 @@ JOBS_PER=${3:-3}
 OUT_DIR=${STRESS_OUT_DIR:-$BUILD_DIR}
 CLI="$BUILD_DIR/tools/se2gis"
 DAEMON="$BUILD_DIR/tools/se2gis_served"
-CACHED="$BUILD_DIR/tools/se2gis_cached"
 FUZZ="$BUILD_DIR/tools/se2gis_fuzz"
 SOCK="$OUT_DIR/stress.sock"
 CACHE="$OUT_DIR/stress-cache"
 WORK="$OUT_DIR/stress-work"
 
-if [ ! -x "$CLI" ] || [ ! -x "$DAEMON" ] || [ ! -x "$CACHED" ]; then
+if [ ! -x "$CLI" ] || [ ! -x "$DAEMON" ]; then
   echo "error: build $BUILD_DIR first (cmake -B $BUILD_DIR -S . && cmake --build $BUILD_DIR -j)" >&2
   exit 1
 fi
@@ -57,13 +57,13 @@ mkdir -p "$WORK"
 
 DAEMON_PID=
 TINY_PID=
-CACHED_PID=
+TIER_PID=
 NODE_A_PID=
 NODE_B_PID=
 cleanup() {
   [ -n "$DAEMON_PID" ] && kill "$DAEMON_PID" 2>/dev/null || true
   [ -n "$TINY_PID" ] && kill "$TINY_PID" 2>/dev/null || true
-  [ -n "$CACHED_PID" ] && kill "$CACHED_PID" 2>/dev/null || true
+  [ -n "$TIER_PID" ] && kill "$TIER_PID" 2>/dev/null || true
   [ -n "$NODE_A_PID" ] && kill "$NODE_A_PID" 2>/dev/null || true
   [ -n "$NODE_B_PID" ] && kill "$NODE_B_PID" 2>/dev/null || true
 }
@@ -259,31 +259,31 @@ fi
 echo "[stress] drain clean (exit 0); store intact: $(ls "$CACHE" | tr '\n' ' ')"
 
 # --- Shared cache tier: one solve warms the fleet ---------------------------
-CACHED_SOCK="$OUT_DIR/stress-cached.sock"
-CACHED_STORE="$OUT_DIR/stress-cached-store"
+TIER_SOCK="$OUT_DIR/stress-tier.sock"
+TIER_STORE="$OUT_DIR/stress-tier-store"
 NODE_A_SOCK="$OUT_DIR/stress-nodeA.sock"
 NODE_B_SOCK="$OUT_DIR/stress-nodeB.sock"
-rm -rf "$CACHED_SOCK" "$CACHED_STORE" "$NODE_A_SOCK" "$NODE_B_SOCK" \
+rm -rf "$TIER_SOCK" "$TIER_STORE" "$NODE_A_SOCK" "$NODE_B_SOCK" \
        "$WORK/nodeA-cache" "$WORK/nodeB-cache"
 
-echo "[stress] cache tier: starting se2gis_cached + two served nodes..."
-"$CACHED" --listen "unix:$CACHED_SOCK" --cache-dir "$CACHED_STORE" \
-  >"$WORK/cached.log" 2>&1 &
-CACHED_PID=$!
-for _ in $(seq 1 50); do
-  if "$CACHED" ping --connect "unix:$CACHED_SOCK" >/dev/null 2>&1; then break; fi
-  sleep 0.1
-done
-"$CACHED" ping --connect "unix:$CACHED_SOCK" >/dev/null \
-  || { echo "[stress] FAIL: cache daemon never came up" >&2; exit 1; }
+start_tier() { # start_tier <log>: the tier is a --cache disk served process
+  "$DAEMON" --listen "unix:$TIER_SOCK" --workers 1 \
+    --cache disk --cache-dir "$TIER_STORE" >"$1" 2>&1 &
+  TIER_PID=$!
+  wait_ping "unix:$TIER_SOCK" \
+    || { echo "[stress] FAIL: cache tier never came up" >&2; exit 1; }
+}
+
+echo "[stress] cache tier: starting se2gis_served --cache disk + two served nodes..."
+start_tier "$WORK/tier.log"
 
 "$DAEMON" --listen "unix:$NODE_A_SOCK" --workers 2 \
-  --cache remote --cache-addr "unix:$CACHED_SOCK" \
+  --cache remote --cache-addr "unix:$TIER_SOCK" \
   --cache-dir "$WORK/nodeA-cache" --metrics-addr tcp:127.0.0.1:0 \
   >"$WORK/nodeA.log" 2>&1 &
 NODE_A_PID=$!
 "$DAEMON" --listen "unix:$NODE_B_SOCK" --workers 2 \
-  --cache remote --cache-addr "unix:$CACHED_SOCK" \
+  --cache remote --cache-addr "unix:$TIER_SOCK" \
   --cache-dir "$WORK/nodeB-cache" --metrics-addr tcp:127.0.0.1:0 \
   >"$WORK/nodeB.log" 2>&1 &
 NODE_B_PID=$!
@@ -291,7 +291,7 @@ wait_ping "unix:$NODE_A_SOCK" || { echo "[stress] FAIL: node A never came up" >&
 wait_ping "unix:$NODE_B_SOCK" || { echo "[stress] FAIL: node B never came up" >&2; exit 1; }
 
 # The warm-fleet benchmark set, solved on node A first (populates the
-# daemon), then on node B (whose local cache is cold — every persistent
+# tier), then on node B (whose local cache is cold — every persistent
 # hit must come from the remote tier), checking verdict parity with the
 # direct CLI runs computed for the stress mix above.
 TIER_BENCH=(list/sum unreal/sum)
@@ -311,7 +311,8 @@ for NODE in A B; do
 done
 
 # Node B's metrics must show remote-tier hits: its local store was empty,
-# so its warm start came from the daemon node A populated.
+# so its warm start came from the tier node A populated. The tier's own
+# stats must count the same hits from its side.
 NODE_B_HP=$(sed -n 's/^se2gis_served: metrics on tcp:\(.*\)$/\1/p' "$WORK/nodeB.log")
 [ -n "$NODE_B_HP" ] || { echo "[stress] FAIL: node B reported no metrics address" >&2; exit 1; }
 scrape "$NODE_B_HP" "$WORK/nodeB-metrics.txt" \
@@ -322,31 +323,36 @@ if [ -z "$B_REMOTE_HITS" ] || [ "$B_REMOTE_HITS" -eq 0 ]; then
   cat "$WORK/nodeB-metrics.txt" >&2
   exit 1
 fi
-CACHED_STATS=$("$CACHED" stats --connect "unix:$CACHED_SOCK")
-CACHED_HITS=$(printf '%s' "$CACHED_STATS" | sed -n 's/.*"hits":\([0-9][0-9]*\).*/\1/p')
-echo "[stress] cache tier: node B remote_hits=$B_REMOTE_HITS, daemon hits=$CACHED_HITS"
+TIER_STATS=$("$CLI" stats --connect "unix:$TIER_SOCK")
+TIER_HITS=$(printf '%s' "$TIER_STATS" | sed -n 's/.*"tier_hits":\([0-9][0-9]*\).*/\1/p')
+if [ -z "$TIER_HITS" ] || [ "$TIER_HITS" -eq 0 ]; then
+  echo "[stress] FAIL: tier stats count no cache.get hits" >&2
+  echo "$TIER_STATS" >&2
+  exit 1
+fi
+echo "[stress] cache tier: node B remote_hits=$B_REMOTE_HITS, tier hits=$TIER_HITS"
 
 # A few generator cases through the remote matrix column (cold+warm pair
-# against the shared daemon).
+# against the shared tier).
 if [ -x "$FUZZ" ]; then
   "$FUZZ" --gen-seed 7 --cases 3 --timeout-ms 4000 \
-    --cache-addr "unix:$CACHED_SOCK" >"$WORK/fuzz-tier.log" 2>&1 \
+    --cache-addr "unix:$TIER_SOCK" >"$WORK/fuzz-tier.log" 2>&1 \
     || { echo "[stress] FAIL: fuzz cases through the remote tier failed" >&2;
          tail -5 "$WORK/fuzz-tier.log" >&2; exit 1; }
   echo "[stress] cache tier: 3 fuzz cases ran the remote matrix column"
 fi
 
-# Kill -9 the cache daemon: node B must degrade to local-only — same
-# verdicts, exit codes, no stalls (bounded by the client timeout).
-kill -9 "$CACHED_PID" 2>/dev/null || true
-wait "$CACHED_PID" 2>/dev/null || true
-CACHED_PID=
+# Kill -9 the tier: node B must degrade to local-only — same verdicts,
+# exit codes, no stalls (bounded by the client timeout).
+kill -9 "$TIER_PID" 2>/dev/null || true
+wait "$TIER_PID" 2>/dev/null || true
+TIER_PID=
 for K in 0 1; do
   RC=0
   "$CLI" submit --connect "unix:$NODE_B_SOCK" --benchmark "${TIER_BENCH[$K]}" \
     --timeout-ms 20000 --wait --quiet >/dev/null 2>&1 || RC=$?
   if [ "$RC" != "${TIER_BASE[$K]}" ]; then
-    echo "[stress] FAIL: node B verdict changed after daemon kill -9:" \
+    echo "[stress] FAIL: node B verdict changed after tier kill -9:" \
          "${TIER_BENCH[$K]} -> exit $RC (want ${TIER_BASE[$K]})" >&2
     exit 1
   fi
@@ -363,7 +369,7 @@ RC=0
 "$CLI" submit --connect "unix:$NODE_B_SOCK" --benchmark "$FRESH_BENCH" \
   --timeout-ms 20000 --wait --quiet >/dev/null 2>&1 || RC=$?
 if [ "$RC" != "$FRESH_BASE" ]; then
-  echo "[stress] FAIL: node B got exit $RC for $FRESH_BENCH with the daemon" \
+  echo "[stress] FAIL: node B got exit $RC for $FRESH_BENCH with the tier" \
        "dead (direct CLI: $FRESH_BASE)" >&2
   exit 1
 fi
@@ -376,7 +382,7 @@ if [ -z "$B_DEGRADED" ] || [ "$B_DEGRADED" -eq 0 ]; then
   echo "[stress] FAIL: node B shows neither remote errors nor degraded probes after kill -9" >&2
   exit 1
 fi
-echo "[stress] cache tier: daemon kill -9 degraded node B cleanly (errors+degraded=$B_DEGRADED, verdicts unchanged)"
+echo "[stress] cache tier: tier kill -9 degraded node B cleanly (errors+degraded=$B_DEGRADED, verdicts unchanged)"
 
 # Drain both nodes; each must exit 0.
 for NODE in A B; do
@@ -387,26 +393,18 @@ NODE_A_PID=
 wait "$NODE_B_PID" || { echo "[stress] FAIL: node B exited nonzero" >&2; exit 1; }
 NODE_B_PID=
 
-# Restart the cache daemon on the same store directory: the entries
-# written before the kill must come back warm; then a clean client drain.
-"$CACHED" --listen "unix:$CACHED_SOCK" --cache-dir "$CACHED_STORE" \
-  >"$WORK/cached2.log" 2>&1 &
-CACHED_PID=$!
-for _ in $(seq 1 50); do
-  if "$CACHED" ping --connect "unix:$CACHED_SOCK" >/dev/null 2>&1; then break; fi
-  sleep 0.1
-done
-# The top-level "entries" field precedes the per-segment breakdown, whose
-# own "entries" keys a greedy match would grab instead.
-WARM=$("$CACHED" stats --connect "unix:$CACHED_SOCK" \
-  | sed -n 's/.*"entries":\([0-9][0-9]*\),"segments".*/\1/p')
+# Restart the tier on the same store directory: the entries written
+# before the kill must come back warm; then a clean client drain.
+start_tier "$WORK/tier2.log"
+WARM=$("$CLI" stats --connect "unix:$TIER_SOCK" \
+  | sed -n 's/.*"entries":\([0-9][0-9]*\).*/\1/p')
 if [ -z "$WARM" ] || [ "$WARM" -eq 0 ]; then
-  echo "[stress] FAIL: restarted cache daemon reloaded no entries" >&2
+  echo "[stress] FAIL: restarted cache tier reloaded no entries" >&2
   exit 1
 fi
-"$CACHED" drain --connect "unix:$CACHED_SOCK" >/dev/null
-wait "$CACHED_PID" || { echo "[stress] FAIL: cache daemon exited nonzero after drain" >&2; exit 1; }
-CACHED_PID=
+"$CLI" drain --connect "unix:$TIER_SOCK" >/dev/null
+wait "$TIER_PID" || { echo "[stress] FAIL: cache tier exited nonzero after drain" >&2; exit 1; }
+TIER_PID=
 echo "[stress] cache tier: restart reloaded $WARM entries; client drain clean"
 
 echo "[stress] PASS"

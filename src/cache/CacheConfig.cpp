@@ -82,6 +82,9 @@ std::string se2gis::validateCacheDir(const std::string &Dir) {
 
 namespace {
 
+/// The persistent segments the runtime loads and serves.
+constexpr const char *kPersistentSegments[] = {"smt", "suite"};
+
 /// All mutable global state of the subsystem, behind one mutex. The hot
 /// paths (lookup/insert on the sharded caches) do not take this lock; it
 /// guards only (re)configuration and persistent-segment access.
@@ -144,7 +147,7 @@ void se2gis::configureCache(const CacheSettings &S) {
     R.Mode.store(CacheMode::Off, std::memory_order_release);
     userError(Error);
   }
-  for (const char *Segment : {"smt", "suite"}) {
+  for (const char *Segment : kPersistentSegments) {
     R.Segments[Segment] = R.Store->loadSegment(Segment);
     for (const auto &[K, Payload] : R.Segments[Segment]) {
       (void)K;
@@ -235,24 +238,43 @@ std::optional<std::string> se2gis::persistentLookup(const char *Segment,
   return Payload;
 }
 
-void se2gis::persistentInsert(const char *Segment, const Hash128 &K,
+bool se2gis::persistentInsert(const char *Segment, const Hash128 &K,
                               const std::string &Payload) {
   CacheRuntime &R = runtime();
   std::shared_ptr<RemoteStore> Remote;
   {
     std::lock_guard<std::mutex> Lock(R.M);
     if (!R.Store)
-      return;
+      return false;
     auto [It, Fresh] = R.Segments[Segment].emplace(K, Payload);
     (void)It;
     if (!Fresh)
-      return; // already persisted (content-addressed: same key, same payload)
+      return false; // already persisted (content-addressed: same payload)
     R.Store->append(Segment, K, Payload);
     perfAdd(PerfCounter::CacheBytesWritten, Payload.size());
     Remote = R.Remote;
   }
   // Write-behind fan-out: enqueue only (bounded queue, background drainer);
-  // a slow daemon never backpressures the solver thread.
+  // a slow tier never backpressures the solver thread.
   if (Remote)
     Remote->putAsync(Segment, K, Payload);
+  return true;
+}
+
+bool se2gis::isPersistentSegment(const std::string &Segment) {
+  for (const char *Name : kPersistentSegments)
+    if (Segment == Name)
+      return true;
+  return false;
+}
+
+std::uint64_t se2gis::persistentEntryCount() {
+  CacheRuntime &R = runtime();
+  std::lock_guard<std::mutex> Lock(R.M);
+  std::uint64_t Entries = 0;
+  for (const auto &[Name, Map] : R.Segments) {
+    (void)Name;
+    Entries += Map.size();
+  }
+  return Entries;
 }

@@ -11,13 +11,15 @@
 ///    (see SmtQueryCache's type checks and the suite runner's solution
 ///    re-verification), so a stale or corrupted store can never change a
 ///    verdict — only waste a re-validation.
-///  - \c Remote — Disk plus a shared cache daemon (se2gis_cached, see
-///    src/cachenet/): persistent lookups that miss locally probe the
-///    daemon (read-through, populated downward on hit), persistent
-///    inserts fan out to it write-behind, and a dead or slow daemon
-///    degrades the node to local-only via a circuit breaker — never a
-///    stalled or failed solve. Remote entries go through the exact same
-///    consumer re-validation as Disk entries.
+///  - \c Remote — Disk plus a shared cache tier: an `se2gis_served
+///    --cache disk` process whose `cache.get` / `cache.put` methods serve
+///    its own persistent segments (see src/cachenet/RemoteStore.h).
+///    Persistent lookups that miss locally probe the tier (read-through,
+///    populated downward on hit), persistent inserts fan out to it
+///    write-behind, and a dead or slow tier degrades the node to
+///    local-only via a circuit breaker — never a stalled or failed solve.
+///    Remote entries go through the exact same consumer re-validation as
+///    Disk entries.
 ///
 /// \c configureCache is idempotent for identical settings and thread-safe;
 /// the solver entry points call it with the run's \c SolverConfig, so the
@@ -31,6 +33,7 @@
 
 #include "cache/Hash128.h"
 
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -51,8 +54,9 @@ struct CacheSettings {
   /// Store directory for Disk/Remote mode (default: ./.se2gis-cache,
   /// which is .gitignore'd).
   std::string Dir = ".se2gis-cache";
-  /// se2gis_cached address for Remote mode (SE2GIS_CACHE_ADDR /
-  /// --cache-addr): unix:/path or tcp:host:port.
+  /// Address of the cache tier (an `se2gis_served --cache disk` process)
+  /// for Remote mode (SE2GIS_CACHE_ADDR / --cache-addr): unix:/path or
+  /// tcp:host:port.
   std::string Addr;
 };
 
@@ -74,7 +78,8 @@ void shutdownCache();
 /// Durability barrier for Disk/Remote mode: drains the remote write-behind
 /// queue (bounded), then fsyncs the persistent store's segment files and
 /// directory entry. No-op outside persistent modes. The service drain
-/// calls this after the last job so a reported-flushed store survives an
+/// calls this after the last job — and, on a tier, after admission of
+/// `cache.put` has closed — so a reported-flushed store survives an
 /// immediate crash.
 void flushCache();
 
@@ -87,17 +92,27 @@ inline bool cachePersistent() {
 
 /// Looks \p K up in persistent segment \p Segment ("smt", "suite", ...):
 /// the loaded local segment first, then — in Remote mode — one bounded
-/// daemon probe, whose hit is populated downward into the local segment
+/// tier probe, whose hit is populated downward into the local segment
 /// map and DiskStore before being returned. Returns nullopt unless a
 /// persistent mode is active and some tier held the key.
 std::optional<std::string> persistentLookup(const char *Segment,
                                             const Hash128 &K);
 
 /// Appends (\p K, \p Payload) to persistent segment \p Segment (and, in
-/// Remote mode, enqueues a write-behind put to the daemon); a no-op
-/// outside persistent modes. Last record wins on reload.
-void persistentInsert(const char *Segment, const Hash128 &K,
+/// Remote mode, enqueues a write-behind put to the tier); a no-op outside
+/// persistent modes. Keys are content addresses, so a key already held is
+/// not appended again. \returns true when the entry was new.
+bool persistentInsert(const char *Segment, const Hash128 &K,
                       const std::string &Payload);
+
+/// \returns true when \p Segment is one the runtime loads and serves
+/// ("smt" or "suite"). The shared tier admits only these: any other name
+/// would make persistentInsert create a segment file named by a client.
+bool isPersistentSegment(const std::string &Segment);
+
+/// Total entries held across the loaded persistent segments (0 outside
+/// persistent modes).
+std::uint64_t persistentEntryCount();
 
 } // namespace se2gis
 

@@ -1,10 +1,10 @@
 //===- RemoteStore.h - Shared cache tier client -----------------*- C++-*-===//
 ///
 /// \file
-/// The client half of the shared cache tier (DESIGN.md "Shared cache
-/// tier"): talks to a `se2gis_cached` daemon over the service frame
-/// protocol (`cache.get` / `cache.put` / `cache.stats` / `cache.drain`)
-/// and is layered under cache/CacheConfig as the last probe of the
+/// The client of the shared cache tier (DESIGN.md "Shared cache tier"):
+/// talks to an `se2gis_served --cache disk` process over the service
+/// frame protocol (`cache.get` / `cache.put`, see service/Server.h) and
+/// is layered under cache/CacheConfig as the last probe of the
 /// read-through path (local shard → local DiskStore → remote) and the
 /// write-behind fan-out of every persistent insert.
 ///

@@ -17,7 +17,6 @@ Outcome se2gis::runChcChannel(const Problem &P, const AlgoOptions &Opts) {
   Stopwatch Timer;
   Deadline Budget = Deadline::afterMs(Opts.TimeoutMs);
   Budget.setToken(Opts.Token);
-  CounterSnapshot Before = snapshotCounters();
   PerfSnapshot PerfBefore = snapshotPerf();
   PhaseSnapshot PhaseBefore = phaseSnapshot();
   Outcome Result;
@@ -117,7 +116,6 @@ Outcome se2gis::runChcChannel(const Problem &P, const AlgoOptions &Opts) {
   if (Result.V == Verdict::Failed && Budget.expired())
     Result.V = Verdict::Timeout;
   Result.Stats.ElapsedMs = Timer.elapsedMs();
-  Result.Stats.Counters = snapshotCounters().since(Before);
   Result.Stats.Perf = snapshotPerf().since(PerfBefore);
   Result.Stats.Phases = phaseSnapshot().since(PhaseBefore);
   return Result;

@@ -98,7 +98,8 @@ struct DiffOptions {
   /// Base directory for disk/remote-cache configs (a per-case subdirectory
   /// is created under it). Disk and remote configs are skipped when empty.
   std::string CacheDirBase;
-  /// se2gis_cached address for remote-cache configs (--cache-addr).
+  /// Cache tier address (an `se2gis_served --cache disk` process) for
+  /// remote-cache configs (--cache-addr).
   /// Remote configs are skipped when empty.
   std::string RemoteAddr;
   /// Test-only: flip the first conclusive verdict before classifying, so

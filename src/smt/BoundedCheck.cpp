@@ -4,8 +4,8 @@
 
 #include "eval/Expand.h"
 #include "eval/SymbolicEval.h"
-#include "support/Counters.h"
 #include "support/Diagnostics.h"
+#include "support/PerfCounters.h"
 
 #include <cassert>
 
@@ -123,7 +123,7 @@ se2gis::boundedSat(const Program &Prog, const TermPtr &Formula,
   auto TryCombo = [&]() -> bool {
     if (Opts.Budget.expired() || ++Tried > Opts.MaxCombos)
       return true; // stop enumeration
-    countEvent(CounterKind::BoundedInstantiations);
+    perfAdd(PerfCounter::BoundedInstantiations);
     Substitution Map;
     for (size_t I = 0; I < DataVars.size(); ++I)
       Map.emplace_back(DataVars[I]->Id, Shapes[I][Combo[I]]);

@@ -6,7 +6,6 @@
 #include "cache/Canonical.h"
 #include "cache/SmtQueryCache.h"
 #include "smt/Session.h"
-#include "support/Counters.h"
 #include "support/Diagnostics.h"
 #include "support/PerfCounters.h"
 #include "support/Stopwatch.h"
@@ -483,7 +482,6 @@ SmtResult SmtQuery::checkSat(int TimeoutMs, SmtModel *ModelOut,
 SmtResult SmtQuery::checkSatImpl(int TimeoutMs, SmtModel *ModelOut,
                                  std::vector<ValuePtr> *ValuesOut,
                                  bool &CacheHit) {
-  countEvent(CounterKind::SmtChecks);
   perfAdd(PerfCounter::SmtQueries);
   // The Z3 budget mapping: clamp the per-query slice to the remaining run
   // budget. An already-expired deadline skips the solver entirely — the

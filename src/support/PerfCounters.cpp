@@ -82,6 +82,9 @@ constexpr CounterMeta GCounterMeta[static_cast<size_t>(
     {"gen_rejected", "generator attempts rejected and resampled"},
     {"gen_shrink_attempts", "shrink candidates evaluated"},
     {"gen_shrink_accepted", "shrink candidates committed"},
+    {"witness_queries", "Algorithm-1 frame-pair witness queries"},
+    {"bounded_instantiations", "bounded-term instantiations evaluated"},
+    {"symbolic_unfoldings", "recursion-scheme rule unfoldings"},
 };
 
 constexpr const char *GHistName[static_cast<size_t>(
@@ -170,6 +173,16 @@ std::string PerfSnapshot::str() const {
   if (const HistogramSnapshot &H = hist(PerfHistogram::SmtCheckNs); H.Count)
     OS << " smt_p50_ms=" << H.quantileMs(0.5)
        << " smt_p99_ms=" << H.quantileMs(0.99);
+  return OS.str();
+}
+
+std::string PerfSnapshot::telemetryStr() const {
+  std::ostringstream OS;
+  OS << "smt=" << get(PerfCounter::SmtQueries)
+     << " pbe=" << get(PerfCounter::EnumCandidates)
+     << " wit=" << get(PerfCounter::WitnessQueries)
+     << " bnd=" << get(PerfCounter::BoundedInstantiations)
+     << " unf=" << get(PerfCounter::SymbolicUnfoldings);
   return OS.str();
 }
 

@@ -80,6 +80,9 @@ enum class PerfCounter : unsigned char {
                        ///< (parse/elaborate/validate) and resampled
   GenShrinkAttempts,   ///< shrink candidates evaluated on a failing case
   GenShrinkAccepted,   ///< ... that kept the failure and were committed
+  WitnessQueries,        ///< Algorithm-1 frame-pair queries
+  BoundedInstantiations, ///< bounded-term instantiations evaluated
+  SymbolicUnfoldings,    ///< recursion-scheme rule unfoldings
   NumPerfCounters
 };
 
@@ -169,6 +172,10 @@ struct PerfSnapshot {
 
   /// Compact one-line rendering for progress logs.
   std::string str() const;
+
+  /// The CLI `telemetry:` rendering of the solver-primitive counts, e.g.
+  /// "smt=120 pbe=4500 wit=8 bnd=300 unf=9000".
+  std::string telemetryStr() const;
 };
 
 /// Reads the current values.
@@ -191,6 +198,8 @@ PerfSnapshot snapshotPerf();
 ///    "chc_skipped_nonscalar":N,"chc_skipped_equations":N,
 ///    "gen_cases":N,"gen_rejected":N,
 ///    "gen_shrink_attempts":N,"gen_shrink_accepted":N,
+///    "witness_queries":N,"bounded_instantiations":N,
+///    "symbolic_unfoldings":N,
 ///    ...and, per latency histogram H in {smt_check, smt_translate,
 ///    enum_round, cache_probe, cache_remote_probe}: "H_count":N,
 ///    "H_p50_ms":X,"H_p90_ms":X,"H_p99_ms":X,"H_max_ms":X}

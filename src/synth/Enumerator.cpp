@@ -7,7 +7,6 @@
 #include "cache/Canonical.h"
 #include "cache/SgeSolutionCache.h"
 #include "cache/TermIO.h"
-#include "support/Counters.h"
 #include "support/Diagnostics.h"
 #include "support/PerfCounters.h"
 #include "support/Stopwatch.h"
@@ -766,7 +765,6 @@ Enumerator::enumerateScalar(const TypePtr &OutTy,
   Search S(Config, Leaves, Examples, OutTy->isInt(), Budget);
   auto R = S.run(MaxSize);
   LastSearch = S.stats();
-  countEvent(CounterKind::PbeCandidates, LastSearch.Candidates);
   perfAdd(PerfCounter::EnumCandidates, LastSearch.Candidates);
   perfAdd(PerfCounter::EnumPruned, LastSearch.Pruned);
   return R;

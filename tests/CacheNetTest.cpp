@@ -1,22 +1,22 @@
-//===- CacheNetTest.cpp - Shared cache tier tests -------------------------===//
+//===- CacheNetTest.cpp - Shared cache tier client tests ------------------===//
 //
-// Covers src/cachenet/: the cache daemon's protocol surface (get/put/
-// stats/drain, admission negatives, frame-level negatives), the
-// RemoteStore client (read-through miss/hit, circuit-breaker transitions
-// against a dead-then-revived daemon, write-behind flush), the
-// CacheConfig remote tier (remote hit populated downward into the local
-// DiskStore), concurrent multi-client traffic, and the soundness
-// property the whole tier leans on: a poisoned remote entry is
-// re-validated on reuse and can never change a verdict.
+// Covers src/cachenet/RemoteStore against the real tier, an `se2gis_served
+// --cache disk` server: read-through miss/hit, circuit-breaker transitions
+// against a dead-then-revived tier, write-behind flush, the CacheConfig
+// remote mode (remote hit populated downward into the local DiskStore),
+// concurrent multi-client traffic, and the soundness property the whole
+// tier leans on: a poisoned remote entry is re-validated on reuse and can
+// never change a verdict. The tier's own protocol surface (admission,
+// stats, drain) is covered in ServiceTest.cpp.
 //
 //===----------------------------------------------------------------------===//
 
 #include "ast/Term.h"
 #include "cache/CacheConfig.h"
-#include "cachenet/CacheDaemon.h"
 #include "cachenet/RemoteStore.h"
 #include "service/Json.h"
 #include "service/Protocol.h"
+#include "service/Server.h"
 #include "suite/Runner.h"
 #include "support/PerfCounters.h"
 
@@ -24,13 +24,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstring>
 #include <filesystem>
 #include <thread>
 #include <vector>
 
-#include <arpa/inet.h>
-#include <sys/socket.h>
+#include <fcntl.h>
+#include <spawn.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 using namespace se2gis;
@@ -39,7 +41,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Each test gets a private scratch directory (daemon store + node cache
+/// Each test gets a private scratch directory (tier store + node cache
 /// dirs + the unix socket) and a clean process-wide cache state.
 class CacheNetTest : public ::testing::Test {
 protected:
@@ -49,49 +51,117 @@ protected:
             ("se2gis-cachenet-" +
              std::string(
                  ::testing::UnitTest::GetInstance()->current_test_info()->name()) +
-             "-" +
-             std::to_string(
-                 ::testing::UnitTest::GetInstance()->random_seed())))
+             "-" + std::to_string(::getpid())))
                .string();
     fs::remove_all(Root);
     fs::create_directories(Root);
   }
   void TearDown() override {
+    for (const std::unique_ptr<Server> &S : Tiers)
+      S->requestDrainAsync();
+    for (std::thread &T : RunThreads)
+      T.join();
+    Tiers.clear();
+    killChildTiers();
     shutdownCache();
     fs::remove_all(Root);
   }
 
   std::string path(const std::string &Leaf) { return Root + "/" + Leaf; }
 
-  /// Starts an in-process daemon on a unix socket under the scratch dir.
-  std::unique_ptr<CacheDaemon> startDaemon(const std::string &Tag,
-                                           CacheDaemonConfig Config = {}) {
+  /// Starts an in-process tier — a Server in Disk cache mode — on a unix
+  /// socket under the scratch dir; TearDown drains and joins it. The cache
+  /// runtime is process-wide, so the test must not configure another mode
+  /// while the tier serves.
+  Server *startTier(const std::string &Tag) {
+    ServiceConfig Config;
     Config.Listen = "unix:" + path(Tag + ".sock");
-    Config.Dir = path(Tag + ".store");
-    Config.Log.Level = LogLevel::Error;
-    auto D = std::make_unique<CacheDaemon>(std::move(Config));
+    Config.Workers = 1;
+    Config.Base.Cache.Mode = CacheMode::Disk;
+    Config.Base.Cache.Dir = path(Tag + ".store");
+    Config.Base.Log.Level = LogLevel::Error;
+    Tiers.push_back(std::make_unique<Server>(std::move(Config)));
+    Server *S = Tiers.back().get();
     std::string Error;
-    if (!D->start(Error)) {
-      ADD_FAILURE() << "daemon start: " << Error;
+    if (!S->start(Error)) {
+      ADD_FAILURE() << "tier start: " << Error;
+      Tiers.pop_back();
       return nullptr;
     }
-    RunThreads.emplace_back([Ptr = D.get()] { Ptr->run(); });
-    return D;
+    RunThreads.emplace_back([S] { S->run(); });
+    return S;
   }
 
-  void stopDaemon(CacheDaemon &D) { D.drain(); }
+  /// Starts the real tier binary, `se2gis_served --cache disk`, as a child
+  /// process, for tests whose remote-mode node lives in this process (a
+  /// node and a tier cannot share one process-wide cache runtime).
+  /// \returns its address once it answers a ping; TearDown kills it.
+  std::string spawnTier(const std::string &Tag) {
+    std::string Addr = "unix:" + path(Tag + ".sock");
+    std::string Log = path(Tag + ".log");
+    std::vector<std::string> Args = {SE2GIS_SERVED_BIN,
+                                     "--listen",
+                                     Addr,
+                                     "--workers",
+                                     "1",
+                                     "--cache",
+                                     "disk",
+                                     "--cache-dir",
+                                     path(Tag + ".store"),
+                                     "--log-level",
+                                     "error"};
+    std::vector<char *> Argv;
+    for (std::string &A : Args)
+      Argv.push_back(A.data());
+    Argv.push_back(nullptr);
+    posix_spawn_file_actions_t Actions;
+    posix_spawn_file_actions_init(&Actions);
+    posix_spawn_file_actions_addopen(&Actions, 1, Log.c_str(),
+                                     O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    posix_spawn_file_actions_adddup2(&Actions, 1, 2);
+    pid_t Pid = -1;
+    int Rc = ::posix_spawn(&Pid, Argv[0], &Actions, nullptr, Argv.data(),
+                           environ);
+    posix_spawn_file_actions_destroy(&Actions);
+    if (Rc != 0) {
+      ADD_FAILURE() << "spawn " << Argv[0] << ": " << std::strerror(Rc);
+      return "";
+    }
+    Children.push_back(Pid);
+    ServiceAddr A;
+    std::string Error;
+    EXPECT_TRUE(parseServiceAddr(Addr, A, Error)) << Error;
+    for (int Try = 0; Try < 100; ++Try) {
+      int Fd = connectTo(A, Error, /*TimeoutMs=*/200);
+      if (Fd >= 0) {
+        setFdIoTimeout(Fd, 2000);
+        std::string Payload;
+        bool Up = writeFrame(Fd, "{\"method\":\"ping\"}") &&
+                  readFrame(Fd, Payload) == FrameStatus::Ok;
+        closeFd(Fd);
+        if (Up)
+          return Addr;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    ADD_FAILURE() << "tier never answered a ping; see " << Log;
+    return "";
+  }
 
-  /// Joins the run() threads of every daemon started in this test. Call
-  /// after drain()ing them.
-  void joinDaemons() {
-    for (std::thread &T : RunThreads)
-      if (T.joinable())
-        T.join();
-    RunThreads.clear();
+  /// kill -9 and reap every spawned tier.
+  void killChildTiers() {
+    for (pid_t Pid : Children) {
+      ::kill(Pid, SIGKILL);
+      int Status = 0;
+      ::waitpid(Pid, &Status, 0);
+    }
+    Children.clear();
   }
 
   std::string Root;
+  std::vector<std::unique_ptr<Server>> Tiers;
   std::vector<std::thread> RunThreads;
+  std::vector<pid_t> Children;
 };
 
 /// Blocking one-shot request against \p Addr; fails the test on transport
@@ -112,29 +182,6 @@ JsonValue rawCall(const ServiceAddr &Addr, const JsonValue &Req) {
   return Resp;
 }
 
-JsonValue makeGet(const std::string &Segment, const std::string &KeyHex) {
-  JsonValue Req = JsonValue::object();
-  Req.set("method", JsonValue::str("cache.get"));
-  Req.set("segment", JsonValue::str(Segment));
-  Req.set("key", JsonValue::str(KeyHex));
-  return Req;
-}
-
-JsonValue makePut(const std::string &Segment, const std::string &KeyHex,
-                  const std::string &Payload) {
-  JsonValue Req = JsonValue::object();
-  Req.set("method", JsonValue::str("cache.put"));
-  Req.set("segment", JsonValue::str(Segment));
-  Req.set("key", JsonValue::str(KeyHex));
-  Req.set("payload", JsonValue::str(Payload));
-  return Req;
-}
-
-std::string errorCodeOf(const JsonValue &Resp) {
-  const JsonValue *E = Resp.get("error");
-  return E ? E->getString("code") : "";
-}
-
 Hash128 keyOf(unsigned char Tag) {
   std::string Hex(32, '0');
   static const char Digits[] = "0123456789abcdef";
@@ -148,197 +195,11 @@ Hash128 keyOf(unsigned char Tag) {
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Segment-name admission
-//===----------------------------------------------------------------------===//
-
-TEST(CacheNetNames, SegmentCharsetIsStrict) {
-  EXPECT_TRUE(validCacheSegmentName("smt"));
-  EXPECT_TRUE(validCacheSegmentName("suite"));
-  EXPECT_TRUE(validCacheSegmentName("a0-z9_x"));
-  EXPECT_FALSE(validCacheSegmentName(""));
-  EXPECT_FALSE(validCacheSegmentName("SMT"));          // uppercase
-  EXPECT_FALSE(validCacheSegmentName("../etc"));       // traversal
-  EXPECT_FALSE(validCacheSegmentName("a/b"));          // separator
-  EXPECT_FALSE(validCacheSegmentName("a.b"));          // dot
-  EXPECT_FALSE(validCacheSegmentName(std::string(65, 'a'))); // too long
-}
-
-//===----------------------------------------------------------------------===//
-// Daemon protocol surface
-//===----------------------------------------------------------------------===//
-
-TEST_F(CacheNetTest, DaemonGetPutStatsDrain) {
-  auto D = startDaemon("d");
-  ASSERT_NE(D, nullptr);
-  const ServiceAddr &A = D->addr();
-  Hash128 K = keyOf(1);
-
-  // Miss first.
-  JsonValue R = rawCall(A, makeGet("smt", K.hex()));
-  EXPECT_TRUE(R.getBool("ok"));
-  EXPECT_FALSE(R.getBool("found"));
-
-  // Put, then hit with the same bytes.
-  R = rawCall(A, makePut("smt", K.hex(), "payload-bytes"));
-  EXPECT_TRUE(R.getBool("ok"));
-  EXPECT_TRUE(R.getBool("stored"));
-  R = rawCall(A, makeGet("smt", K.hex()));
-  EXPECT_TRUE(R.getBool("ok"));
-  EXPECT_TRUE(R.getBool("found"));
-  EXPECT_EQ(R.getString("payload"), "payload-bytes");
-
-  // Content-addressed dedup: the second identical put is acknowledged but
-  // not re-stored.
-  R = rawCall(A, makePut("smt", K.hex(), "payload-bytes"));
-  EXPECT_TRUE(R.getBool("ok"));
-  EXPECT_FALSE(R.getBool("stored"));
-
-  R = rawCall(A, JsonValue::object().set("method", JsonValue::str("ping")));
-  EXPECT_TRUE(R.getBool("ok"));
-  EXPECT_EQ(R.getString("role"), "cached");
-
-  R = rawCall(A,
-              JsonValue::object().set("method", JsonValue::str("cache.stats")));
-  EXPECT_TRUE(R.getBool("ok"));
-  EXPECT_EQ(R.getInt("gets"), 2);
-  EXPECT_EQ(R.getInt("hits"), 1);
-  EXPECT_EQ(R.getInt("misses"), 1);
-  EXPECT_EQ(R.getInt("puts"), 2);
-  EXPECT_EQ(R.getInt("puts_stored"), 1);
-  EXPECT_EQ(R.getInt("entries"), 1);
-
-  // The daemon's own Prometheus exposition carries the same counters.
-  std::string Metrics = D->renderMetrics();
-  EXPECT_NE(Metrics.find("se2gis_cached_hits_total 1"), std::string::npos)
-      << Metrics;
-  EXPECT_NE(Metrics.find("se2gis_cached_entries{segment=\"smt\"} 1"),
-            std::string::npos)
-      << Metrics;
-
-  stopDaemon(*D);
-  joinDaemons();
-
-  // Restarting on the same directory reloads the entry (same DiskStore
-  // format as a node cache dir).
-  CacheDaemonConfig C2;
-  C2.Listen = "unix:" + path("d2.sock");
-  C2.Dir = path("d.store");
-  C2.Log.Level = LogLevel::Error;
-  CacheDaemon D2(std::move(C2));
-  std::string Error;
-  ASSERT_TRUE(D2.start(Error)) << Error;
-  std::thread T([&D2] { D2.run(); });
-  R = rawCall(D2.addr(), makeGet("smt", K.hex()));
-  EXPECT_TRUE(R.getBool("found"));
-  EXPECT_EQ(R.getString("payload"), "payload-bytes");
-  D2.drain();
-  T.join();
-}
-
-TEST_F(CacheNetTest, DaemonAdmissionNegatives) {
-  CacheDaemonConfig Config;
-  Config.MaxPayloadBytes = 64; // tiny bound to exercise rejection
-  auto D = startDaemon("d", std::move(Config));
-  ASSERT_NE(D, nullptr);
-  const ServiceAddr &A = D->addr();
-  std::string GoodKey = keyOf(2).hex();
-
-  // Hostile segment names are refused, not turned into file paths.
-  EXPECT_EQ(errorCodeOf(rawCall(A, makeGet("../../etc", GoodKey))),
-            "bad_request");
-  EXPECT_EQ(errorCodeOf(rawCall(A, makePut("a/b", GoodKey, "x"))),
-            "bad_request");
-  // Keys must be exactly 32 hex chars.
-  EXPECT_EQ(errorCodeOf(rawCall(A, makeGet("smt", "zz"))), "bad_request");
-  EXPECT_EQ(errorCodeOf(rawCall(A, makePut("smt", "abc", "x"))),
-            "bad_request");
-  // Payloads over the admission bound are refused as bad_request (the
-  // frame itself is fine — this is the entry bound, not the frame bound).
-  EXPECT_EQ(errorCodeOf(
-                rawCall(A, makePut("smt", GoodKey, std::string(65, 'p')))),
-            "bad_request");
-  // Unknown method.
-  EXPECT_EQ(errorCodeOf(rawCall(
-                A, JsonValue::object().set("method", JsonValue::str("nope")))),
-            "unknown_method");
-
-  // Nothing above got stored.
-  JsonValue R = rawCall(
-      A, JsonValue::object().set("method", JsonValue::str("cache.stats")));
-  EXPECT_EQ(R.getInt("entries"), 0);
-  EXPECT_GE(R.getInt("rejected"), 5);
-
-  // After drain, puts are refused with the typed draining error (via a
-  // connection opened before the drain completes the socket teardown).
-  stopDaemon(*D);
-  joinDaemons();
-}
-
-TEST_F(CacheNetTest, DaemonFrameNegatives) {
-  auto D = startDaemon("d");
-  ASSERT_NE(D, nullptr);
-  const ServiceAddr &A = D->addr();
-  std::string Error;
-
-  // Oversized frame announcement: typed error response, then hangup.
-  {
-    int Fd = connectTo(A, Error, 2000);
-    ASSERT_GE(Fd, 0) << Error;
-    setFdIoTimeout(Fd, 5000);
-    std::uint32_t Huge = htonl(kMaxFrameBytes + 1);
-    ASSERT_EQ(::write(Fd, &Huge, 4), 4);
-    std::string Payload;
-    ASSERT_EQ(readFrame(Fd, Payload), FrameStatus::Ok);
-    JsonValue Resp;
-    ASSERT_TRUE(JsonValue::parse(Payload, Resp, Error));
-    EXPECT_FALSE(Resp.getBool("ok"));
-    EXPECT_EQ(errorCodeOf(Resp), "oversized_frame");
-    // The stream cannot be resynchronized: the daemon hangs up.
-    EXPECT_EQ(readFrame(Fd, Payload), FrameStatus::Eof);
-    closeFd(Fd);
-  }
-
-  // Truncated frame: announce 100 bytes, send 3, close. The daemon must
-  // drop the connection without dying.
-  {
-    int Fd = connectTo(A, Error, 2000);
-    ASSERT_GE(Fd, 0) << Error;
-    std::uint32_t Len = htonl(100);
-    ASSERT_EQ(::write(Fd, &Len, 4), 4);
-    ASSERT_EQ(::write(Fd, "{\"m", 3), 3);
-    closeFd(Fd);
-  }
-
-  // Non-JSON payload on a cache method: typed parse_error.
-  {
-    int Fd = connectTo(A, Error, 2000);
-    ASSERT_GE(Fd, 0) << Error;
-    setFdIoTimeout(Fd, 5000);
-    ASSERT_TRUE(writeFrame(Fd, "this is not json"));
-    std::string Payload;
-    ASSERT_EQ(readFrame(Fd, Payload), FrameStatus::Ok);
-    JsonValue Resp;
-    ASSERT_TRUE(JsonValue::parse(Payload, Resp, Error));
-    EXPECT_EQ(errorCodeOf(Resp), "parse_error");
-    closeFd(Fd);
-  }
-
-  // Still alive and serving after all of the above.
-  JsonValue R =
-      rawCall(A, JsonValue::object().set("method", JsonValue::str("ping")));
-  EXPECT_TRUE(R.getBool("ok"));
-
-  stopDaemon(*D);
-  joinDaemons();
-}
-
-//===----------------------------------------------------------------------===//
 // RemoteStore client
 //===----------------------------------------------------------------------===//
 
 TEST_F(CacheNetTest, RemoteStoreMissPutHitAndFlush) {
-  auto D = startDaemon("d");
-  ASSERT_NE(D, nullptr);
+  ASSERT_NE(startTier("d"), nullptr);
 
   RemoteStoreOptions Opts;
   Opts.Addr = "unix:" + path("d.sock");
@@ -353,7 +214,7 @@ TEST_F(CacheNetTest, RemoteStoreMissPutHitAndFlush) {
   ASSERT_TRUE(Got.has_value());
   EXPECT_EQ(*Got, "remote-payload");
 
-  // Write-behind: enqueue, flush, observe on the daemon.
+  // Write-behind: enqueue, flush, observe on the tier.
   Hash128 K2 = keyOf(4);
   Store->putAsync("smt", K2, "async-payload");
   EXPECT_TRUE(Store->flush(5000));
@@ -368,9 +229,6 @@ TEST_F(CacheNetTest, RemoteStoreMissPutHitAndFlush) {
   Bad.Addr = "tcp:nonsense";
   EXPECT_EQ(RemoteStore::create(Bad, Error), nullptr);
   EXPECT_FALSE(Error.empty());
-
-  stopDaemon(*D);
-  joinDaemons();
 }
 
 TEST_F(CacheNetTest, BreakerOpensOnDeadDaemonAndRecloses) {
@@ -408,15 +266,9 @@ TEST_F(CacheNetTest, BreakerOpensOnDeadDaemonAndRecloses) {
   EXPECT_GE(Mid.get(PerfCounter::CacheRemoteErrors), 2u);
   EXPECT_GE(Mid.get(PerfCounter::CacheRemoteDegraded), 1u);
 
-  // Revive a daemon on the same socket path; after the cooldown the next
+  // Revive a tier on the same socket path; after the cooldown the next
   // probe goes half-open, succeeds, and closes the breaker.
-  CacheDaemonConfig Config;
-  Config.Listen = "unix:" + Sock;
-  Config.Dir = path("revive.store");
-  Config.Log.Level = LogLevel::Error;
-  CacheDaemon D(std::move(Config));
-  ASSERT_TRUE(D.start(Error)) << Error;
-  std::thread T([&D] { D.run(); });
+  ASSERT_NE(startTier("revive"), nullptr);
 
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   EXPECT_FALSE(Store->get("smt", K).has_value()); // miss, but transport OK
@@ -426,9 +278,6 @@ TEST_F(CacheNetTest, BreakerOpensOnDeadDaemonAndRecloses) {
   auto Got = Store->get("smt", K);
   ASSERT_TRUE(Got.has_value());
   EXPECT_EQ(*Got, "after-revival");
-
-  D.drain();
-  T.join();
 }
 
 //===----------------------------------------------------------------------===//
@@ -436,12 +285,11 @@ TEST_F(CacheNetTest, BreakerOpensOnDeadDaemonAndRecloses) {
 //===----------------------------------------------------------------------===//
 
 TEST_F(CacheNetTest, RemoteHitPopulatesLocalTiers) {
-  auto D = startDaemon("d");
-  ASSERT_NE(D, nullptr);
-  std::string Addr = "unix:" + path("d.sock");
+  std::string Addr = spawnTier("d");
+  ASSERT_FALSE(Addr.empty());
 
   // Node A (this process, first configuration): insert an entry; the
-  // write-behind fan-out ships it to the daemon.
+  // write-behind fan-out ships it to the tier.
   CacheSettings SA;
   SA.Mode = CacheMode::Remote;
   SA.Dir = path("nodeA");
@@ -452,7 +300,7 @@ TEST_F(CacheNetTest, RemoteHitPopulatesLocalTiers) {
   flushCache(); // drains the write-behind queue
   shutdownCache();
 
-  // "Node B": same daemon, fresh local dir. The local probe misses, the
+  // "Node B": same tier, fresh local dir. The local probe misses, the
   // remote probe hits, and the hit lands in B's own DiskStore.
   PerfSnapshot Before = snapshotPerf();
   CacheSettings SB = SA;
@@ -471,10 +319,9 @@ TEST_F(CacheNetTest, RemoteHitPopulatesLocalTiers) {
   flushCache();
   shutdownCache();
 
-  // The populated-down entry survives in B's store even with the daemon
+  // The populated-down entry survives in B's store even with the tier
   // gone: disk-only reconfigure on B's dir still hits.
-  stopDaemon(*D);
-  joinDaemons();
+  killChildTiers();
   CacheSettings SDisk;
   SDisk.Mode = CacheMode::Disk;
   SDisk.Dir = path("nodeB");
@@ -500,7 +347,7 @@ TEST_F(CacheNetTest, DeadDaemonDegradesToLocalOnly) {
   auto Got = persistentLookup("smt", K);
   ASSERT_TRUE(Got.has_value());
   EXPECT_EQ(*Got, "local-value");
-  flushCache(); // must not hang on the dead daemon
+  flushCache(); // must not hang on the dead tier
 }
 
 //===----------------------------------------------------------------------===//
@@ -508,8 +355,8 @@ TEST_F(CacheNetTest, DeadDaemonDegradesToLocalOnly) {
 //===----------------------------------------------------------------------===//
 
 TEST_F(CacheNetTest, ConcurrentMultiClientTraffic) {
-  auto D = startDaemon("d");
-  ASSERT_NE(D, nullptr);
+  Server *Tier = startTier("d");
+  ASSERT_NE(Tier, nullptr);
   std::string Addr = "unix:" + path("d.sock");
 
   constexpr unsigned Clients = 4, Ops = 32;
@@ -540,12 +387,12 @@ TEST_F(CacheNetTest, ConcurrentMultiClientTraffic) {
   EXPECT_EQ(Hits.load(), Clients * Ops);
 
   JsonValue R = rawCall(
-      D->addr(), JsonValue::object().set("method", JsonValue::str("cache.stats")));
-  EXPECT_EQ(R.getInt("entries"), 8); // 8 distinct keys, last-wins dedup
-  EXPECT_EQ(R.getInt("gets"), static_cast<std::int64_t>(Clients * Ops));
-
-  stopDaemon(*D);
-  joinDaemons();
+      Tier->addr(), JsonValue::object().set("method", JsonValue::str("stats")));
+  const JsonValue *Cache = R.get("cache");
+  ASSERT_NE(Cache, nullptr) << R.dump();
+  EXPECT_EQ(Cache->getInt("entries"), 8); // 8 distinct keys, deduplicated
+  EXPECT_EQ(Cache->getInt("tier_gets"),
+            static_cast<std::int64_t>(Clients * Ops));
 }
 
 //===----------------------------------------------------------------------===//
@@ -583,9 +430,8 @@ std::string wrongSolutionPayload(const Problem &P) {
 } // namespace
 
 TEST_F(CacheNetTest, PoisonedRemoteEntryCannotFlipVerdict) {
-  auto D = startDaemon("d");
-  ASSERT_NE(D, nullptr);
-  std::string Addr = "unix:" + path("d.sock");
+  std::string Addr = spawnTier("d");
+  ASSERT_FALSE(Addr.empty());
 
   // An unrealizable benchmark: any warm-start entry claiming Realizable is
   // a lie, and re-verification must catch it.
@@ -603,7 +449,7 @@ TEST_F(CacheNetTest, PoisonedRemoteEntryCannotFlipVerdict) {
   Opts.Config.Cache.Addr = Addr;
   Opts.Algorithms = {AlgorithmKind::SE2GIS};
 
-  // Poison the daemon under the exact warm-start key the runner computes,
+  // Poison the tier under the exact warm-start key the runner computes,
   // with (a) a decodable-but-wrong solution and (b) garbage bytes for a
   // second algorithm's key.
   Hash128 Key =
@@ -625,7 +471,7 @@ TEST_F(CacheNetTest, PoisonedRemoteEntryCannotFlipVerdict) {
     ASSERT_TRUE(Store->putSync("suite", GarbageKey, "v1\nnot a solution"));
   }
 
-  // Run the sweep: the poisoned entry is fetched from the daemon
+  // Run the sweep: the poisoned entry is fetched from the tier
   // (cache_remote_hits > 0), fails re-verification, and the benchmark is
   // solved normally — the verdict is unchanged.
   PerfSnapshot Before = snapshotPerf();
@@ -645,7 +491,4 @@ TEST_F(CacheNetTest, PoisonedRemoteEntryCannotFlipVerdict) {
   ASSERT_EQ(Recs.size(), 1u);
   EXPECT_EQ(Recs[0].Result.V, Verdict::Unrealizable) << Recs[0].Result.Detail;
   EXPECT_NE(Recs[0].Result.Ev.Source, VerdictSource::Cache);
-
-  stopDaemon(*D);
-  joinDaemons();
 }

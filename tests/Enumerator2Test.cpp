@@ -5,7 +5,6 @@
 #include "ast/Simplify.h"
 #include "cache/CacheConfig.h"
 #include "cache/SgeSolutionCache.h"
-#include "support/Counters.h"
 #include "support/PerfCounters.h"
 
 #include <functional>
@@ -152,7 +151,6 @@ GrammarConfig everyOperator() {
 struct SearchDelta {
   std::uint64_t Candidates = 0;
   std::uint64_t Pruned = 0;
-  std::uint64_t LegacyCandidates = 0;
 };
 
 /// Runs one synthesis and reports the counter deltas it caused.
@@ -160,13 +158,10 @@ std::optional<TermPtr> searchCounting(Enumerator &En, const TypePtr &Ty,
                                       const std::vector<PbeExample> &Ex,
                                       int MaxSize, SearchDelta &D) {
   PerfSnapshot P0 = snapshotPerf();
-  CounterSnapshot C0 = snapshotCounters();
   auto T = En.synthesize(Ty, Ex, MaxSize, Deadline());
   PerfSnapshot P = snapshotPerf().since(P0);
   D.Candidates = P.get(PerfCounter::EnumCandidates);
   D.Pruned = P.get(PerfCounter::EnumPruned);
-  D.LegacyCandidates =
-      snapshotCounters().since(C0).get(CounterKind::PbeCandidates);
   return T;
 }
 
@@ -243,7 +238,6 @@ TEST(Enumerator2Test, GoldenTermsOverEveryOperator) {
     EXPECT_EQ(T ? (*T)->str() : "", C.Term);
     EXPECT_EQ(D.Candidates, C.Candidates);
     EXPECT_EQ(D.Pruned, C.Pruned);
-    EXPECT_EQ(D.LegacyCandidates, C.Candidates);
   }
 }
 
@@ -286,7 +280,6 @@ TEST(Enumerator2Test, GoldenLeafUnboundInOneExample) {
   EXPECT_EQ((*T)->str(), "1 + 2 * a");
   EXPECT_EQ(D.Candidates, 1229u);
   EXPECT_EQ(D.Pruned, 1088u);
-  EXPECT_EQ(D.LegacyCandidates, 1229u);
 }
 
 /// 64 distinct examples over (a, b) whose outputs no small term hits.

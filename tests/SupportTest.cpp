@@ -50,33 +50,6 @@ TEST(TableWriterTest, FormatSeconds) {
 
 } // namespace
 
-//===- Counter telemetry -------------------------------------------------===//
-
-#include "support/Counters.h"
-
-namespace {
-
-TEST(CountersTest, SnapshotDeltas) {
-  CounterSnapshot Before = snapshotCounters();
-  countEvent(CounterKind::SmtChecks);
-  countEvent(CounterKind::PbeCandidates, 5);
-  CounterSnapshot After = snapshotCounters();
-  CounterSnapshot Delta = After.since(Before);
-  EXPECT_EQ(Delta.get(CounterKind::SmtChecks), 1u);
-  EXPECT_EQ(Delta.get(CounterKind::PbeCandidates), 5u);
-  EXPECT_EQ(Delta.get(CounterKind::WitnessQueries), 0u);
-}
-
-TEST(CountersTest, Rendering) {
-  CounterSnapshot S;
-  S.Values[static_cast<size_t>(CounterKind::SmtChecks)] = 12;
-  std::string Out = S.str();
-  EXPECT_NE(Out.find("smt=12"), std::string::npos);
-  EXPECT_NE(Out.find("pbe=0"), std::string::npos);
-}
-
-} // namespace
-
 //===- Perf counters, histograms, and phase attribution -------------------===//
 
 #include "support/PerfCounters.h"
@@ -97,6 +70,17 @@ TEST(PerfCountersTest, SnapshotSinceDeltas) {
   EXPECT_GE(Delta.get(PerfCounter::EnumCandidates), 7u);
   EXPECT_GE(Delta.getMs(PerfTimer::Z3SolveNs), 2.0);
   EXPECT_GE(Delta.hist(PerfHistogram::SmtCheckNs).Count, 1u);
+}
+
+TEST(PerfCountersTest, TelemetryRendering) {
+  PerfSnapshot S;
+  S.Counters[static_cast<size_t>(PerfCounter::SmtQueries)] = 12;
+  S.Counters[static_cast<size_t>(PerfCounter::EnumCandidates)] = 45;
+  S.Counters[static_cast<size_t>(PerfCounter::WitnessQueries)] = 2;
+  S.Counters[static_cast<size_t>(PerfCounter::BoundedInstantiations)] = 3;
+  S.Counters[static_cast<size_t>(PerfCounter::SymbolicUnfoldings)] = 9;
+  // The CLI's `telemetry:` line; its format is relied on by scripts.
+  EXPECT_EQ(S.telemetryStr(), "smt=12 pbe=45 wit=2 bnd=3 unf=9");
 }
 
 TEST(PerfCountersTest, StrMentionsKeyFields) {

@@ -19,9 +19,11 @@
 ///     --cache off|mem|disk|remote              memoization mode
 ///     --cache-dir DIR                          persistent store directory
 ///                                              (default: ./.se2gis-cache)
-///     --cache-addr ADDR                        se2gis_cached address for
-///                                              --cache remote (unix:/path
-///                                              or tcp:host:port)
+///     --cache-addr ADDR                        cache tier address for
+///                                              --cache remote: a served
+///                                              --cache disk process
+///                                              (unix:/path or
+///                                              tcp:host:port)
 ///     --log-level error|warn|info|debug        logger verbosity
 ///     --trace PATH                             write a Chrome trace_event
 ///                                              JSON file (Perfetto-viewable)
@@ -506,7 +508,7 @@ int main(int argc, char **argv) {
               verdictName(R.V), Via.c_str(), R.Stats.ElapsedMs,
               R.Stats.Steps.c_str());
   if (!Quiet) {
-    std::printf("telemetry: %s\n", R.Stats.Counters.str().c_str());
+    std::printf("telemetry: %s\n", R.Stats.Perf.telemetryStr().c_str());
     std::printf("phases: eval=%.1f ms smt=%.1f ms enum=%.1f ms "
                 "induction=%.1f ms\n",
                 R.Stats.Phases.getMs(Phase::Eval),

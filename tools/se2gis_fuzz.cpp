@@ -11,7 +11,8 @@
 ///       [--timeout-ms N]        per-config budget (default 2000)
 ///       [--matrix small|full]   config matrix (full adds chc-only + disk)
 ///       [--cache-addr ADDR]     add a remote-cache cold/warm column
-///                               against a running se2gis_cached
+///                               against a running cache tier
+///                               (se2gis_served --cache disk)
 ///       [--corpus DIR]          write <name>.se2 + <name>.json reproducers
 ///       [--no-shrink]           keep failing cases unshrunk
 ///       [--replay FILE]         run one DSL file through the matrix

@@ -12,9 +12,13 @@
 ///     --max-queue N          admission bound on queued jobs (default 64)
 ///     --timeout-ms N         default per-job budget (default 5000)
 ///     --drain-timeout-ms N   in-flight budget during drain (default 10000)
-///     --cache off|mem|disk|remote  memoization mode shared by all workers
+///     --cache off|mem|disk|remote  memoization mode shared by all workers;
+///                            a --cache disk server is also the shared
+///                            cache tier (cache.get / cache.put) for
+///                            --cache remote nodes
 ///     --cache-dir DIR        persistent store directory
-///     --cache-addr ADDR      se2gis_cached address for --cache remote
+///     --cache-addr ADDR      cache tier address for --cache remote: another
+///                            se2gis_served started with --cache disk
 ///     --log-level error|warn|info|debug
 ///     --trace PATH           Chrome trace_event output
 ///     --metrics-addr ADDR    plain-HTTP Prometheus listener (unix:/tcp:)
@@ -53,7 +57,9 @@ void usage() {
       "                     [--log-level error|warn|info|debug]\n"
       "                     [--trace PATH]\n"
       "                     [--metrics-addr unix:<path>|tcp:<host>:<port>]\n"
-      "                     [--flight-dir DIR]\n");
+      "                     [--flight-dir DIR]\n"
+      "A --cache disk server is also the shared cache tier; --cache-addr\n"
+      "points a --cache remote server at one.\n");
 }
 
 /// The signal handler may only touch async-signal-safe state; the server
