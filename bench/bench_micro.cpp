@@ -22,6 +22,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <limits>
+
 using namespace se2gis;
 
 namespace {
@@ -56,8 +58,31 @@ void BM_SymbolicUnfold(benchmark::State &State) {
   TermPtr Call = mkCall(P.Reference, P.RetTy, {T});
   for (auto _ : State)
     benchmark::DoNotOptimize(SE.eval(Call));
+  State.counters["evals"] = benchmark::Counter(
+      static_cast<double>(State.iterations()), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SymbolicUnfold)->Arg(4)->Arg(16)->Arg(64);
+
+void BM_SymbolicUnfoldDuplicatedCall(benchmark::State &State) {
+  // unreal/largest_diff's `let mn, mx, d = ld l in ...` reads the recursive
+  // call four times per level: a depth-N list of symbolic elements costs
+  // 4^N unfoldings without sharing, N + 1 with it. The fuel still charges
+  // the 4^N tree walk, which passes the default limit from depth 8 on, so
+  // it is lifted here to time the evaluation rather than the throw.
+  static Problem P = loadBenchmark(*findBenchmark("unreal/largest_diff"));
+  SymbolicEvaluator SE(*P.Prog, std::numeric_limits<size_t>::max());
+  const ConstructorDecl *Nil = P.Theta->findConstructor("Nil");
+  const ConstructorDecl *Cons = P.Theta->findConstructor("Cons");
+  TermPtr T = mkCtor(Nil, {});
+  for (int I = 0; I < State.range(0); ++I)
+    T = mkCtor(Cons, {mkVar(freshVar("a", Type::intTy())), T});
+  TermPtr Call = mkCall(P.Reference, P.RetTy, {T});
+  for (auto _ : State)
+    benchmark::DoNotOptimize(SE.eval(Call));
+  State.counters["evals"] = benchmark::Counter(
+      static_cast<double>(State.iterations()), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SymbolicUnfoldDuplicatedCall)->Arg(4)->Arg(8)->Arg(12);
 
 void BM_RecursionElimination(benchmark::State &State) {
   const Problem &P = minSortedProblem();
@@ -67,6 +92,8 @@ void BM_RecursionElimination(benchmark::State &State) {
                             mkVar(freshVar("l", Type::dataTy(P.Theta)))});
   for (auto _ : State)
     benchmark::DoNotOptimize(Elim.eliminate(T));
+  State.counters["eliminations"] = benchmark::Counter(
+      static_cast<double>(State.iterations()), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_RecursionElimination);
 

@@ -10,17 +10,50 @@
 
 using namespace se2gis;
 
+[[noreturn]] static void fuelExhausted() {
+  perfAdd(PerfCounter::EvalFuelExhausted);
+  userError("symbolic evaluation fuel exhausted");
+}
+
 TermPtr SymbolicEvaluator::eval(const TermPtr &T) {
   // The entry point (norm recurses below it), so one scope covers the whole
   // evaluation without per-step overhead.
   PhaseScope EvalPhase(Phase::Eval);
+  // The memo is only valid for this evaluation: the bindings may change
+  // before the next one.
+  struct MemoReset {
+    MemoTable &M;
+    ~MemoReset() { MemoTable().swap(M); }
+  } Reset{Memo};
   Steps = 0;
   return norm(T);
 }
 
+template <typename FnT>
+TermPtr SymbolicEvaluator::memoized(const TermPtr &Node, FnT &&Compute) {
+  auto [First, Last] = Memo.equal_range(Node->hash());
+  for (auto It = First; It != Last; ++It) {
+    const MemoEntry &E = It->second;
+    if (!termEquals(E.Node, Node))
+      continue;
+    // Charge what normalizing the node again would have cost, so the fuel
+    // runs out exactly when it would without the memo.
+    Steps += E.Steps;
+    if (Steps > MaxSteps)
+      fuelExhausted();
+    // A stuck call normalizes to itself; keep the caller's node so that an
+    // unchanged parent is not rebuilt.
+    return E.Result == E.Node ? Node : E.Result;
+  }
+  size_t Before = Steps;
+  TermPtr Result = Compute();
+  Memo.emplace(Node->hash(), MemoEntry{Node, Result, Steps - Before});
+  return Result;
+}
+
 TermPtr SymbolicEvaluator::norm(const TermPtr &T) {
   if (++Steps > MaxSteps)
-    userError("symbolic evaluation fuel exhausted");
+    fuelExhausted();
 
   // Normalize children first, then retry local reductions.
   bool Changed = false;
@@ -59,17 +92,19 @@ TermPtr SymbolicEvaluator::norm(const TermPtr &T) {
   }
 
   if (Node->getKind() == TermKind::Call)
-    return normCall(Node);
+    return memoized(Node, [&] { return normCall(Node); });
   if (Node->getKind() == TermKind::Unknown && Bindings) {
     auto It = Bindings->find(Node->getCallee());
     if (It != Bindings->end()) {
       const UnknownDef &Def = It->second;
       if (Def.Params.size() != Node->numArgs())
         userError("arity mismatch for unknown '$" + Node->getCallee() + "'");
-      Substitution Map;
-      for (size_t I = 0; I < Def.Params.size(); ++I)
-        Map.emplace_back(Def.Params[I]->Id, Node->getArg(I));
-      return norm(substitute(Def.Body, Map));
+      return memoized(Node, [&] {
+        Substitution Map;
+        for (size_t I = 0; I < Def.Params.size(); ++I)
+          Map.emplace_back(Def.Params[I]->Id, Node->getArg(I));
+        return norm(substitute(Def.Body, Map));
+      });
     }
   }
   return simplifyNode(Node);

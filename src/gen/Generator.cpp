@@ -264,7 +264,8 @@ GenCase se2gis::sampleCase(uint64_t GenSeed, unsigned CaseIndex,
   unsigned NumRec = R.chance(30) ? 2 : 1;
   for (unsigned I = 0; I <= NumRec; ++I) {
     GenCtor Ct;
-    Ct.Name = "C" + std::to_string(I);
+    Ct.Name = "C";
+    Ct.Name += std::to_string(I);
     if (I == 0) {
       Ct.IntFields = R.chance(40) ? 1 : 0;
       Ct.RecFields = 0;

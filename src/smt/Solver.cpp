@@ -190,8 +190,12 @@ struct SmtQuery::Impl {
     flattenType(V->Ty, Leaves);
     std::vector<z3::expr> Exprs;
     for (size_t I = 0; I < Leaves.size(); ++I) {
-      std::string Name = "v" + std::to_string(V->Id) +
-                         (Leaves.size() > 1 ? "_" + std::to_string(I) : "");
+      std::string Name = "v";
+      Name += std::to_string(V->Id);
+      if (Leaves.size() > 1) {
+        Name += '_';
+        Name += std::to_string(I);
+      }
       Exprs.push_back(ctx().constant(Name.c_str(), sortOf(Leaves[I])));
     }
     auto [Pos, Inserted] =
@@ -216,8 +220,11 @@ struct SmtQuery::Impl {
     flattenType(U.getType(), RetLeaves);
     std::vector<z3::func_decl> Decls;
     for (size_t I = 0; I < RetLeaves.size(); ++I) {
-      std::string Name = "u_" + U.getCallee() +
-                         (RetLeaves.size() > 1 ? "_" + std::to_string(I) : "");
+      std::string Name = "u_" + U.getCallee();
+      if (RetLeaves.size() > 1) {
+        Name += '_';
+        Name += std::to_string(I);
+      }
       Decls.push_back(
           ctx().function(Name.c_str(), Domain, sortOf(RetLeaves[I])));
     }

@@ -103,9 +103,13 @@ se2gis::decodeSuiteSolution(const Problem &P, const std::string &S) {
     if (Lines[Pos] != Sig.Name)
       return std::nullopt;
     std::vector<VarPtr> Params;
-    for (size_t I = 0; I < Sig.ArgTypes.size(); ++I)
-      Params.push_back(namedVar("p" + std::to_string(I) + "_" + Sig.Name,
-                                Sig.ArgTypes[I]));
+    for (size_t I = 0; I < Sig.ArgTypes.size(); ++I) {
+      std::string Name = "p";
+      Name += std::to_string(I);
+      Name += '_';
+      Name += Sig.Name;
+      Params.push_back(namedVar(Name, Sig.ArgTypes[I]));
+    }
     TermPtr Body = termFromText(Lines[Pos + 1], Params);
     if (!Body || Body->getType()->str() != Sig.RetTy->str())
       return std::nullopt;

@@ -84,7 +84,10 @@ constexpr CounterMeta GCounterMeta[static_cast<size_t>(
     {"gen_shrink_accepted", "shrink candidates committed"},
     {"witness_queries", "Algorithm-1 frame-pair witness queries"},
     {"bounded_instantiations", "bounded-term instantiations evaluated"},
-    {"symbolic_unfoldings", "recursion-scheme rule unfoldings"},
+    {"symbolic_unfoldings",
+     "recursion-scheme rule unfoldings performed (a call repeated within "
+     "one symbolic evaluation is unfolded once)"},
+    {"eval_fuel_exhausted", "symbolic evaluations that ran out of fuel"},
 };
 
 constexpr const char *GHistName[static_cast<size_t>(

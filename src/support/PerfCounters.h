@@ -82,7 +82,8 @@ enum class PerfCounter : unsigned char {
   GenShrinkAccepted,   ///< ... that kept the failure and were committed
   WitnessQueries,        ///< Algorithm-1 frame-pair queries
   BoundedInstantiations, ///< bounded-term instantiations evaluated
-  SymbolicUnfoldings,    ///< recursion-scheme rule unfoldings
+  SymbolicUnfoldings,    ///< recursion-scheme rule unfoldings performed
+  EvalFuelExhausted,     ///< symbolic evaluations that ran out of fuel
   NumPerfCounters
 };
 
@@ -199,7 +200,7 @@ PerfSnapshot snapshotPerf();
 ///    "gen_cases":N,"gen_rejected":N,
 ///    "gen_shrink_attempts":N,"gen_shrink_accepted":N,
 ///    "witness_queries":N,"bounded_instantiations":N,
-///    "symbolic_unfoldings":N,
+///    "symbolic_unfoldings":N,"eval_fuel_exhausted":N,
 ///    ...and, per latency histogram H in {smt_check, smt_translate,
 ///    enum_round, cache_probe, cache_remote_probe}: "H_count":N,
 ///    "H_p50_ms":X,"H_p90_ms":X,"H_p99_ms":X,"H_max_ms":X}

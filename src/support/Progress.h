@@ -1,17 +1,16 @@
 //===- Progress.h - Live per-job progress publication -----------*- C++-*-===//
 ///
 /// \file
-/// Lock-free publication of "where is this job right now": solver threads
-/// write coarse per-round snapshots (algorithm, round, candidate size,
-/// lemma count, witness-vs-CHC channel state) into a seqlock-guarded
-/// double word buffer; the service's `status`/`stats` handlers read it
-/// from other threads without ever blocking the solver.
+/// Publication of "where is this job right now": solver threads write
+/// coarse per-round snapshots (algorithm, round, candidate size, lemma
+/// count, witness-vs-CHC channel state) into a mutex-guarded board; the
+/// service's `status`/`stats` handlers copy it from other threads.
 ///
-/// Writer cost: one CAS + a struct mutation + one release store, and only
-/// at round granularity (never inside eval/SMT hot loops). Reader cost:
-/// retry-copy until a consistent sequence pair is observed. Writers from
+/// Writers publish once per round (never inside eval/SMT hot loops) and the
+/// board is never read from a signal handler, so a plain mutex costs
+/// nothing measurable and keeps every access race-free. Writers from
 /// different portfolio race members share one board and are serialized by
-/// the seqlock's odd-sequence spin, each touching only its own fields.
+/// the same mutex, each touching only its own fields.
 ///
 /// The board a thread publishes to is carried in a thread-local pointer
 /// (\c setThreadProgressBoard) installed by the service worker for the
@@ -24,15 +23,16 @@
 #ifndef SE2GIS_SUPPORT_PROGRESS_H
 #define SE2GIS_SUPPORT_PROGRESS_H
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <mutex>
+#include <string_view>
 #include <utility>
 
 namespace se2gis {
 
 /// Fixed-size POD snapshot of a running job. char fields are NUL-padded
-/// copies so the reader never chases pointers into a racing writer.
+/// copies, so a snapshot owns everything it shows.
 struct ProgressSnapshot {
   char Algorithm[16] = {}; ///< "se2gis", "segis", "segis-uc", "portfolio"
   char Activity[16] = {};  ///< "refine","coarsen","enum","witness","verify"
@@ -51,53 +51,35 @@ struct ProgressSnapshot {
 
 /// Copies \p Src into the fixed char field \p Dst, truncating + NUL-ing.
 template <std::size_t N> inline void progressSetStr(char (&Dst)[N], const char *Src) {
-  // A bounded scan rather than strnlen: Src is often a literal shorter than
-  // N - 1, and a strnlen bound past its end trips -Wstringop-overread.
-  std::size_t L = 0;
-  if (Src)
-    while (L < N - 1 && Src[L])
-      ++L;
+  // The whole length first, then a clamp: Src is often a literal shorter
+  // than N - 1, and any scan or strnlen bound past its end draws
+  // -Wstringop-overread / -Warray-bounds once inlined.
+  std::string_view S = Src ? std::string_view(Src) : std::string_view();
+  std::size_t L = S.size() < N - 1 ? S.size() : N - 1;
   if (L)
-    std::memcpy(Dst, Src, L);
+    std::memcpy(Dst, S.data(), L);
   std::memset(Dst + L, 0, N - L);
 }
 
-/// Seqlock-guarded snapshot: writers serialize on the odd sequence value,
-/// readers retry until they observe the same even sequence on both sides
-/// of the copy.
+/// Mutex-guarded snapshot.
 class ProgressBoard {
 public:
-  /// Runs \p Fn(ProgressSnapshot&) inside the write section. Multiple
-  /// writers (portfolio race members) are serialized here; keep \p Fn to
-  /// plain field assignments.
+  /// Runs \p Fn(ProgressSnapshot&) under the board's lock. Multiple writers
+  /// (portfolio race members) are serialized here; keep \p Fn to plain
+  /// field assignments.
   template <typename FnT> void update(FnT &&Fn) {
-    std::uint32_t S;
-    for (;;) {
-      S = Seq.load(std::memory_order_relaxed);
-      if ((S & 1u) == 0 &&
-          Seq.compare_exchange_weak(S, S + 1, std::memory_order_acquire,
-                                    std::memory_order_relaxed))
-        break;
-    }
+    std::lock_guard<std::mutex> Lock(M);
     Fn(Data);
-    Seq.store(S + 2, std::memory_order_release);
   }
 
   /// \returns a consistent copy of the current snapshot.
   ProgressSnapshot read() const {
-    for (;;) {
-      std::uint32_t S1 = Seq.load(std::memory_order_acquire);
-      if (S1 & 1u)
-        continue;
-      ProgressSnapshot Copy = Data;
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (Seq.load(std::memory_order_relaxed) == S1)
-        return Copy;
-    }
+    std::lock_guard<std::mutex> Lock(M);
+    return Data;
   }
 
 private:
-  std::atomic<std::uint32_t> Seq{0};
+  mutable std::mutex M;
   ProgressSnapshot Data;
 };
 

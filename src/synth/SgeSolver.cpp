@@ -121,8 +121,11 @@ SgeSolver::SgeSolver(std::vector<UnknownSig> Unknowns, GrammarConfig Config)
     UnknownInfo Info;
     Info.Sig = Sig;
     for (size_t I = 0; I < Sig.ArgTypes.size(); ++I) {
-      VarPtr P =
-          namedVar("p" + std::to_string(I) + "_" + Sig.Name, Sig.ArgTypes[I]);
+      std::string Name = "p";
+      Name += std::to_string(I);
+      Name += '_';
+      Name += Sig.Name;
+      VarPtr P = namedVar(Name, Sig.ArgTypes[I]);
       Info.Params.push_back(P);
       collectLeaves(mkVar(P), Info.Leaves);
     }

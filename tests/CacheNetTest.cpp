@@ -373,7 +373,8 @@ TEST_F(CacheNetTest, ConcurrentMultiClientTraffic) {
         // Shared key space: every client writes and reads the same keys,
         // exercising concurrent dedup on one segment map.
         Hash128 K = keyOf(static_cast<unsigned char>(I % 8));
-        std::string Payload = "v" + std::to_string(I % 8);
+        std::string Payload = "v";
+        Payload += std::to_string(I % 8);
         EXPECT_TRUE(Store->putSync("smt", K, Payload));
         auto Got = Store->get("smt", K);
         ASSERT_TRUE(Got.has_value());
@@ -408,8 +409,11 @@ std::string wrongSolutionPayload(const Problem &P) {
   UnknownBindings Sol;
   for (const UnknownSig &Sig : P.Unknowns) {
     std::vector<VarPtr> Params;
-    for (size_t I = 0; I < Sig.ArgTypes.size(); ++I)
-      Params.push_back(namedVar("w" + std::to_string(I), Sig.ArgTypes[I]));
+    for (size_t I = 0; I < Sig.ArgTypes.size(); ++I) {
+      std::string Name = "w";
+      Name += std::to_string(I);
+      Params.push_back(namedVar(Name, Sig.ArgTypes[I]));
+    }
     TermPtr Body;
     for (const VarPtr &V : Params)
       if (V->Ty->str() == Sig.RetTy->str()) {
