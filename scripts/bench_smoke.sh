@@ -576,91 +576,3 @@ fi
 SHRUNK=$(grep -c 'shrunk' "$OUT_DIR/smoke_fuzz_inject.out")
 echo "[smoke] fuzz pass: planted bugs detected, $SHRUNK case(s) shrunk," \
      "reproducer $(basename "$REPRO") replays clean without the plant"
-
-# --- Remote-cache pass: cold vs tier-warmed sweep, identical verdicts -----
-# An `se2gis_served --cache disk` tier backs two sweeps in
-# SE2GIS_CACHE=remote mode. The cold sweep (fresh local dir A) populates
-# the tier; the warm sweep runs against a *different* fresh local dir B, so
-# every persistent hit it gets must have crossed the wire. Asserts
-# identical verdicts, a nonzero cache_remote_hits count in the warm perf
-# JSON, zero remote errors on a healthy tier, and a clean client-driven
-# drain.
-RTIER="$BUILD_DIR/tools/se2gis_served"
-RTIER_CLI="$BUILD_DIR/tools/se2gis"
-RTIER_SOCK="$OUT_DIR/smoke-tier.sock"
-RTIER_STORE="$OUT_DIR/smoke-tier-store"
-rm -rf "$RTIER_SOCK" "$RTIER_STORE" \
-       "$OUT_DIR/smoke-rcache-a" "$OUT_DIR/smoke-rcache-b"
-
-if [ ! -x "$RTIER" ] || [ ! -x "$RTIER_CLI" ]; then
-  echo "[smoke] FAIL: $RTIER or $RTIER_CLI not built" >&2
-  exit 1
-fi
-
-echo "[smoke] remote pass: starting the tier (se2gis_served --cache disk)..."
-"$RTIER" --listen "unix:$RTIER_SOCK" --workers 1 \
-  --cache disk --cache-dir "$RTIER_STORE" \
-  >"$OUT_DIR/smoke_tier.out" 2>&1 &
-RTIER_PID=$!
-trap '[ -n "${RTIER_PID:-}" ] && kill "$RTIER_PID" 2>/dev/null || true' EXIT
-for _ in $(seq 1 50); do
-  if "$RTIER_CLI" ping --connect "unix:$RTIER_SOCK" >/dev/null 2>&1; then break; fi
-  sleep 0.1
-done
-"$RTIER_CLI" ping --connect "unix:$RTIER_SOCK" >/dev/null \
-  || { echo "[smoke] FAIL: cache tier never came up" >&2; exit 1; }
-
-remote_sweep() { # remote_sweep <local-dir> <json-path> <stdout-path>
-  SE2GIS_JOBS=$JOBS SE2GIS_PERF_JSON=$2 SE2GIS_FILTER=$FILTER \
-    SE2GIS_TIMEOUT_MS=${SE2GIS_TIMEOUT_MS:-20000} \
-    SE2GIS_CACHE=remote SE2GIS_CACHE_ADDR="unix:$RTIER_SOCK" \
-    SE2GIS_CACHE_DIR="$1" \
-    "$DRIVER" >"$3" 2>"$3.log"
-}
-
-echo "[smoke] remote pass: cold sweep (fresh local dir, tier empty)..."
-T8=$(date +%s.%N)
-remote_sweep "$OUT_DIR/smoke-rcache-a" \
-  "$OUT_DIR/BENCH_smoke_remote_cold.json" "$OUT_DIR/smoke_rcold.out"
-T9=$(date +%s.%N)
-echo "[smoke] remote pass: warm sweep (different local dir — hits must be remote)..."
-remote_sweep "$OUT_DIR/smoke-rcache-b" \
-  "$OUT_DIR/BENCH_smoke_remote_warm.json" "$OUT_DIR/smoke_rwarm.out"
-T10=$(date +%s.%N)
-
-outcomes "$OUT_DIR/smoke_rcold.out"
-outcomes "$OUT_DIR/smoke_rwarm.out"
-if ! diff -u "$OUT_DIR/smoke_rcold.out.outcomes" "$OUT_DIR/smoke_rwarm.out.outcomes"; then
-  echo "[smoke] FAIL: tier-warmed outcomes diverge from the cold sweep" >&2
-  exit 1
-fi
-echo "[smoke] remote pass: cold and tier-warmed verdicts identical"
-
-R_HITS=$(perf_key "$OUT_DIR/BENCH_smoke_remote_warm.json" cache_remote_hits)
-R_MISSES=$(perf_key "$OUT_DIR/BENCH_smoke_remote_warm.json" cache_remote_misses)
-R_ERRS=$(perf_key "$OUT_DIR/BENCH_smoke_remote_warm.json" cache_remote_errors)
-if [ -z "$R_HITS" ] || [ "$R_HITS" -eq 0 ]; then
-  echo "[smoke] FAIL: warm sweep reported no remote cache hits" \
-       "(cache_remote_hits=${R_HITS:-missing} in BENCH_smoke_remote_warm.json)" >&2
-  exit 1
-fi
-if [ "${R_ERRS:-0}" -ne 0 ]; then
-  echo "[smoke] FAIL: warm sweep hit $R_ERRS remote errors against a healthy tier" >&2
-  exit 1
-fi
-RCOLD_S=$(echo "$T9 $T8" | awk '{printf "%.1f", $1-$2}')
-RWARM_S=$(echo "$T10 $T9" | awk '{printf "%.1f", $1-$2}')
-RSPEEDUP=$(echo "$RCOLD_S $RWARM_S" | awk '{printf "%.2f", ($2 > 0 ? $1 / $2 : 0)}')
-echo "[smoke] remote pass: $R_HITS remote hits, ${R_MISSES:-0} misses," \
-     "0 errors; cold ${RCOLD_S}s -> warm ${RWARM_S}s (speedup ${RSPEEDUP}x)"
-
-"$RTIER_CLI" drain --connect "unix:$RTIER_SOCK" >/dev/null
-RTIER_EXIT=0
-wait "$RTIER_PID" || RTIER_EXIT=$?
-RTIER_PID=
-if [ "$RTIER_EXIT" -ne 0 ]; then
-  echo "[smoke] FAIL: cache tier exited $RTIER_EXIT after drain (want 0)" >&2
-  exit 1
-fi
-echo "[smoke] remote pass: tier drain clean (exit 0)"
-echo "[smoke] perf summaries: $OUT_DIR/BENCH_smoke_remote_cold.json $OUT_DIR/BENCH_smoke_remote_warm.json"

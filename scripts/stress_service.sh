@@ -21,15 +21,9 @@
 #      Perfetto-loadable flight-<jobid>.json under --flight-dir.
 #   6. Graceful drain: the daemon exits 0 by itself after `drain`, with
 #      the persistent store intact on disk.
-#   7. Shared cache tier: an `se2gis_served --cache disk` tier warms a
-#      two-node fleet — node A's solves populate the tier, node B's first
-#      solves of the same benchmarks report remote-cache hits (node B's
-#      Prometheus scrape and the tier's `stats` both nonzero) with verdict
-#      parity against the direct CLI; kill -9 of the tier mid-run degrades
-#      node B to local-only with zero failed or changed verdicts; a few
-#      se2gis_fuzz --gen-seed cases run the remote matrix column; and the
-#      tier restarted on the same store directory reports the warm
-#      entries before a clean client-driven drain.
+#   7. Restart: a daemon restarted with --cache disk on the same store
+#      directory reloads exactly the entries `stats` counted before the
+#      drain (and more than zero), then drains cleanly again.
 #
 # Usage: scripts/stress_service.sh [build-dir] [clients] [jobs-per-client]
 #   build-dir        default: build
@@ -43,7 +37,6 @@ JOBS_PER=${3:-3}
 OUT_DIR=${STRESS_OUT_DIR:-$BUILD_DIR}
 CLI="$BUILD_DIR/tools/se2gis"
 DAEMON="$BUILD_DIR/tools/se2gis_served"
-FUZZ="$BUILD_DIR/tools/se2gis_fuzz"
 SOCK="$OUT_DIR/stress.sock"
 CACHE="$OUT_DIR/stress-cache"
 WORK="$OUT_DIR/stress-work"
@@ -57,15 +50,9 @@ mkdir -p "$WORK"
 
 DAEMON_PID=
 TINY_PID=
-TIER_PID=
-NODE_A_PID=
-NODE_B_PID=
 cleanup() {
   [ -n "$DAEMON_PID" ] && kill "$DAEMON_PID" 2>/dev/null || true
   [ -n "$TINY_PID" ] && kill "$TINY_PID" 2>/dev/null || true
-  [ -n "$TIER_PID" ] && kill "$TIER_PID" 2>/dev/null || true
-  [ -n "$NODE_A_PID" ] && kill "$NODE_A_PID" 2>/dev/null || true
-  [ -n "$NODE_B_PID" ] && kill "$NODE_B_PID" 2>/dev/null || true
 }
 trap cleanup EXIT
 
@@ -244,6 +231,12 @@ wait "$TINY_PID" || { echo "[stress] FAIL: tiny daemon exited nonzero" >&2; exit
 TINY_PID=
 
 # --- Graceful drain ---------------------------------------------------------
+# No job runs any more, so the persistent entry count is final.
+cache_entries() { # cache_entries: `stats.cache.entries` of the daemon on $SOCK
+  "$CLI" stats --connect "unix:$SOCK" \
+    | sed -n 's/.*"entries":\([0-9][0-9]*\).*/\1/p'
+}
+ENTRIES=$(cache_entries)
 "$CLI" drain --connect "unix:$SOCK" >/dev/null
 DRAIN_EXIT=0
 wait "$DAEMON_PID" || DRAIN_EXIT=$?
@@ -258,153 +251,19 @@ if [ ! -s "$CACHE/store.meta" ] || [ ! -s "$CACHE/smt.jsonl" ]; then
 fi
 echo "[stress] drain clean (exit 0); store intact: $(ls "$CACHE" | tr '\n' ' ')"
 
-# --- Shared cache tier: one solve warms the fleet ---------------------------
-TIER_SOCK="$OUT_DIR/stress-tier.sock"
-TIER_STORE="$OUT_DIR/stress-tier-store"
-NODE_A_SOCK="$OUT_DIR/stress-nodeA.sock"
-NODE_B_SOCK="$OUT_DIR/stress-nodeB.sock"
-rm -rf "$TIER_SOCK" "$TIER_STORE" "$NODE_A_SOCK" "$NODE_B_SOCK" \
-       "$WORK/nodeA-cache" "$WORK/nodeB-cache"
-
-start_tier() { # start_tier <log>: the tier is a --cache disk served process
-  "$DAEMON" --listen "unix:$TIER_SOCK" --workers 1 \
-    --cache disk --cache-dir "$TIER_STORE" >"$1" 2>&1 &
-  TIER_PID=$!
-  wait_ping "unix:$TIER_SOCK" \
-    || { echo "[stress] FAIL: cache tier never came up" >&2; exit 1; }
-}
-
-echo "[stress] cache tier: starting se2gis_served --cache disk + two served nodes..."
-start_tier "$WORK/tier.log"
-
-"$DAEMON" --listen "unix:$NODE_A_SOCK" --workers 2 \
-  --cache remote --cache-addr "unix:$TIER_SOCK" \
-  --cache-dir "$WORK/nodeA-cache" --metrics-addr tcp:127.0.0.1:0 \
-  >"$WORK/nodeA.log" 2>&1 &
-NODE_A_PID=$!
-"$DAEMON" --listen "unix:$NODE_B_SOCK" --workers 2 \
-  --cache remote --cache-addr "unix:$TIER_SOCK" \
-  --cache-dir "$WORK/nodeB-cache" --metrics-addr tcp:127.0.0.1:0 \
-  >"$WORK/nodeB.log" 2>&1 &
-NODE_B_PID=$!
-wait_ping "unix:$NODE_A_SOCK" || { echo "[stress] FAIL: node A never came up" >&2; exit 1; }
-wait_ping "unix:$NODE_B_SOCK" || { echo "[stress] FAIL: node B never came up" >&2; exit 1; }
-
-# The warm-fleet benchmark set, solved on node A first (populates the
-# tier), then on node B (whose local cache is cold — every persistent
-# hit must come from the remote tier), checking verdict parity with the
-# direct CLI runs computed for the stress mix above.
-TIER_BENCH=(list/sum unreal/sum)
-TIER_BASE=("${BASELINE[0]}" "${BASELINE[1]}")
-for NODE in A B; do
-  SOCK_VAR="unix:$OUT_DIR/stress-node$NODE.sock"
-  for K in 0 1; do
-    RC=0
-    "$CLI" submit --connect "$SOCK_VAR" --benchmark "${TIER_BENCH[$K]}" \
-      --timeout-ms 20000 --wait --quiet >/dev/null 2>&1 || RC=$?
-    if [ "$RC" != "${TIER_BASE[$K]}" ]; then
-      echo "[stress] FAIL: node $NODE got exit $RC for ${TIER_BENCH[$K]}" \
-           "(direct CLI: ${TIER_BASE[$K]})" >&2
-      exit 1
-    fi
-  done
-done
-
-# Node B's metrics must show remote-tier hits: its local store was empty,
-# so its warm start came from the tier node A populated. The tier's own
-# stats must count the same hits from its side.
-NODE_B_HP=$(sed -n 's/^se2gis_served: metrics on tcp:\(.*\)$/\1/p' "$WORK/nodeB.log")
-[ -n "$NODE_B_HP" ] || { echo "[stress] FAIL: node B reported no metrics address" >&2; exit 1; }
-scrape "$NODE_B_HP" "$WORK/nodeB-metrics.txt" \
-  || { echo "[stress] FAIL: scrape of node B failed" >&2; exit 1; }
-B_REMOTE_HITS=$(awk '$1 == "se2gis_cache_remote_hits_total" {print int($2)}' "$WORK/nodeB-metrics.txt")
-if [ -z "$B_REMOTE_HITS" ] || [ "$B_REMOTE_HITS" -eq 0 ]; then
-  echo "[stress] FAIL: node B shows no remote cache hits" >&2
-  cat "$WORK/nodeB-metrics.txt" >&2
+# --- Restart on the same store ---------------------------------------------
+"$DAEMON" --listen "unix:$SOCK" --workers 1 --cache disk --cache-dir "$CACHE" \
+  >"$WORK/restart.log" 2>&1 &
+DAEMON_PID=$!
+wait_ping "unix:$SOCK" || { echo "[stress] FAIL: restarted daemon never came up" >&2; exit 1; }
+RELOADED=$(cache_entries)
+if [ -z "$RELOADED" ] || [ "$RELOADED" -eq 0 ] || [ "$RELOADED" != "$ENTRIES" ]; then
+  echo "[stress] FAIL: restart reloaded '$RELOADED' entries (before the drain: '$ENTRIES')" >&2
   exit 1
 fi
-TIER_STATS=$("$CLI" stats --connect "unix:$TIER_SOCK")
-TIER_HITS=$(printf '%s' "$TIER_STATS" | sed -n 's/.*"tier_hits":\([0-9][0-9]*\).*/\1/p')
-if [ -z "$TIER_HITS" ] || [ "$TIER_HITS" -eq 0 ]; then
-  echo "[stress] FAIL: tier stats count no cache.get hits" >&2
-  echo "$TIER_STATS" >&2
-  exit 1
-fi
-echo "[stress] cache tier: node B remote_hits=$B_REMOTE_HITS, tier hits=$TIER_HITS"
-
-# A few generator cases through the remote matrix column (cold+warm pair
-# against the shared tier).
-if [ -x "$FUZZ" ]; then
-  "$FUZZ" --gen-seed 7 --cases 3 --timeout-ms 4000 \
-    --cache-addr "unix:$TIER_SOCK" >"$WORK/fuzz-tier.log" 2>&1 \
-    || { echo "[stress] FAIL: fuzz cases through the remote tier failed" >&2;
-         tail -5 "$WORK/fuzz-tier.log" >&2; exit 1; }
-  echo "[stress] cache tier: 3 fuzz cases ran the remote matrix column"
-fi
-
-# Kill -9 the tier: node B must degrade to local-only — same verdicts,
-# exit codes, no stalls (bounded by the client timeout).
-kill -9 "$TIER_PID" 2>/dev/null || true
-wait "$TIER_PID" 2>/dev/null || true
-TIER_PID=
-for K in 0 1; do
-  RC=0
-  "$CLI" submit --connect "unix:$NODE_B_SOCK" --benchmark "${TIER_BENCH[$K]}" \
-    --timeout-ms 20000 --wait --quiet >/dev/null 2>&1 || RC=$?
-  if [ "$RC" != "${TIER_BASE[$K]}" ]; then
-    echo "[stress] FAIL: node B verdict changed after tier kill -9:" \
-         "${TIER_BENCH[$K]} -> exit $RC (want ${TIER_BASE[$K]})" >&2
-    exit 1
-  fi
-done
-# A benchmark neither node has seen yet forces fresh SMT queries, so node
-# B must actually probe the (dead) remote tier, count the failures, and
-# still land the direct-CLI verdict.
-FRESH_BENCH=unreal/min_no_invariant
-RC=0
-"$CLI" --benchmark "$FRESH_BENCH" --timeout-ms 20000 --quiet \
-  >/dev/null 2>&1 || RC=$?
-FRESH_BASE=$RC
-RC=0
-"$CLI" submit --connect "unix:$NODE_B_SOCK" --benchmark "$FRESH_BENCH" \
-  --timeout-ms 20000 --wait --quiet >/dev/null 2>&1 || RC=$?
-if [ "$RC" != "$FRESH_BASE" ]; then
-  echo "[stress] FAIL: node B got exit $RC for $FRESH_BENCH with the tier" \
-       "dead (direct CLI: $FRESH_BASE)" >&2
-  exit 1
-fi
-scrape "$NODE_B_HP" "$WORK/nodeB-metrics2.txt" \
-  || { echo "[stress] FAIL: post-kill scrape of node B failed" >&2; exit 1; }
-B_DEGRADED=$(awk '$1 == "se2gis_cache_remote_errors_total" {e=int($2)}
-               $1 == "se2gis_cache_remote_degraded_total" {d=int($2)}
-               END {print e + d}' "$WORK/nodeB-metrics2.txt")
-if [ -z "$B_DEGRADED" ] || [ "$B_DEGRADED" -eq 0 ]; then
-  echo "[stress] FAIL: node B shows neither remote errors nor degraded probes after kill -9" >&2
-  exit 1
-fi
-echo "[stress] cache tier: tier kill -9 degraded node B cleanly (errors+degraded=$B_DEGRADED, verdicts unchanged)"
-
-# Drain both nodes; each must exit 0.
-for NODE in A B; do
-  "$CLI" drain --connect "unix:$OUT_DIR/stress-node$NODE.sock" >/dev/null
-done
-wait "$NODE_A_PID" || { echo "[stress] FAIL: node A exited nonzero" >&2; exit 1; }
-NODE_A_PID=
-wait "$NODE_B_PID" || { echo "[stress] FAIL: node B exited nonzero" >&2; exit 1; }
-NODE_B_PID=
-
-# Restart the tier on the same store directory: the entries written
-# before the kill must come back warm; then a clean client drain.
-start_tier "$WORK/tier2.log"
-WARM=$("$CLI" stats --connect "unix:$TIER_SOCK" \
-  | sed -n 's/.*"entries":\([0-9][0-9]*\).*/\1/p')
-if [ -z "$WARM" ] || [ "$WARM" -eq 0 ]; then
-  echo "[stress] FAIL: restarted cache tier reloaded no entries" >&2
-  exit 1
-fi
-"$CLI" drain --connect "unix:$TIER_SOCK" >/dev/null
-wait "$TIER_PID" || { echo "[stress] FAIL: cache tier exited nonzero after drain" >&2; exit 1; }
-TIER_PID=
-echo "[stress] cache tier: restart reloaded $WARM entries; client drain clean"
+"$CLI" drain --connect "unix:$SOCK" >/dev/null
+wait "$DAEMON_PID" || { echo "[stress] FAIL: restarted daemon exited nonzero after drain" >&2; exit 1; }
+DAEMON_PID=
+echo "[stress] restart: reloaded $RELOADED entries (same as before the drain); drain clean"
 
 echo "[stress] PASS"

@@ -5,7 +5,6 @@
 #include "cache/DiskStore.h"
 #include "cache/SgeSolutionCache.h"
 #include "cache/SmtQueryCache.h"
-#include "cachenet/RemoteStore.h"
 #include "support/Diagnostics.h"
 #include "support/PerfCounters.h"
 
@@ -29,8 +28,6 @@ const char *se2gis::cacheModeName(CacheMode M) {
     return "mem";
   case CacheMode::Disk:
     return "disk";
-  case CacheMode::Remote:
-    return "remote";
   }
   return "off";
 }
@@ -45,8 +42,6 @@ std::optional<CacheMode> se2gis::parseCacheMode(const std::string &Name) {
     return CacheMode::Mem;
   if (L == "disk" || L == "persist")
     return CacheMode::Disk;
-  if (L == "remote" || L == "net")
-    return CacheMode::Remote;
   return std::nullopt;
 }
 
@@ -93,10 +88,6 @@ struct CacheRuntime {
   CacheSettings Settings;
   std::unique_ptr<DiskStore> Store;
   std::unordered_map<std::string, DiskStore::SegmentMap> Segments;
-  /// Remote tier client (Remote mode only). shared_ptr so the slow network
-  /// probe and the flush barrier can run *outside* the runtime lock while a
-  /// concurrent reconfigure stays safe.
-  std::shared_ptr<RemoteStore> Remote;
   /// Mode mirror for the lock-free cacheMode() fast path.
   std::atomic<CacheMode> Mode{CacheMode::Off};
 };
@@ -109,7 +100,6 @@ CacheRuntime &runtime() {
 void resetLocked(CacheRuntime &R) {
   R.Store.reset();
   R.Segments.clear();
-  R.Remote.reset();
   smtQueryCache().clear();
   sgeSolutionCache().clear();
   pbeMemo().clear();
@@ -120,9 +110,8 @@ void resetLocked(CacheRuntime &R) {
 void se2gis::configureCache(const CacheSettings &S) {
   CacheRuntime &R = runtime();
   std::lock_guard<std::mutex> Lock(R.M);
-  bool Persistent = S.Mode == CacheMode::Disk || S.Mode == CacheMode::Remote;
-  if (S.Mode == R.Settings.Mode && (!Persistent || S.Dir == R.Settings.Dir) &&
-      (S.Mode != CacheMode::Remote || S.Addr == R.Settings.Addr))
+  bool Persistent = S.Mode == CacheMode::Disk;
+  if (S.Mode == R.Settings.Mode && (!Persistent || S.Dir == R.Settings.Dir))
     return; // idempotent re-configure (every SynthesisTask::run calls this)
 
   if (Persistent) {
@@ -130,9 +119,6 @@ void se2gis::configureCache(const CacheSettings &S) {
     if (!Problem.empty())
       userError(Problem);
   }
-  if (S.Mode == CacheMode::Remote && S.Addr.empty())
-    userError("remote cache mode needs a daemon address "
-              "(SE2GIS_CACHE_ADDR or --cache-addr)");
 
   resetLocked(R);
   R.Settings = S;
@@ -154,33 +140,10 @@ void se2gis::configureCache(const CacheSettings &S) {
       perfAdd(PerfCounter::CacheBytesLoaded, Payload.size());
     }
   }
-
-  if (S.Mode == CacheMode::Remote) {
-    RemoteStoreOptions Opts;
-    Opts.Addr = S.Addr;
-    R.Remote = RemoteStore::create(Opts, Error);
-    if (!R.Remote) {
-      // Only a malformed address fails construction; an unreachable daemon
-      // is a degraded (local-only) store, never a failed configure.
-      resetLocked(R);
-      R.Settings = CacheSettings{};
-      R.Mode.store(CacheMode::Off, std::memory_order_release);
-      userError("cache addr: " + Error);
-    }
-  }
 }
 
 void se2gis::flushCache() {
   CacheRuntime &R = runtime();
-  std::shared_ptr<RemoteStore> Remote;
-  {
-    std::lock_guard<std::mutex> Lock(R.M);
-    Remote = R.Remote;
-  }
-  // Drain the write-behind queue before the fsync barrier, outside the
-  // runtime lock (the drainer's puts are network-bounded).
-  if (Remote)
-    Remote->flush();
   std::lock_guard<std::mutex> Lock(R.M);
   if (R.Store)
     R.Store->sync();
@@ -202,70 +165,26 @@ CacheMode se2gis::cacheMode() {
 std::optional<std::string> se2gis::persistentLookup(const char *Segment,
                                                     const Hash128 &K) {
   CacheRuntime &R = runtime();
-  std::shared_ptr<RemoteStore> Remote;
-  {
-    std::lock_guard<std::mutex> Lock(R.M);
-    auto SegIt = R.Segments.find(Segment);
-    if (SegIt != R.Segments.end()) {
-      auto It = SegIt->second.find(K);
-      if (It != SegIt->second.end())
-        return It->second;
-    }
-    Remote = R.Remote;
-  }
-  if (!Remote)
-    return std::nullopt;
-  // Remote probe outside the lock: it is bounded (timeouts + breaker) but
-  // still orders of magnitude slower than the map lookups above, and must
-  // not serialize other threads' local probes.
-  std::optional<std::string> Payload = Remote->get(Segment, K);
-  if (!Payload)
-    return std::nullopt;
-  // Populate downward (read-through): the local segment map and DiskStore
-  // absorb the hit, so the next probe — and the next process on this node —
-  // never pays the network again. Consumers still re-validate the payload;
-  // a poisoned remote entry lands locally at worst as dead weight that
-  // re-validation keeps rejecting.
   std::lock_guard<std::mutex> Lock(R.M);
-  if (R.Remote != Remote)
-    return Payload; // reconfigured mid-probe; don't touch the new store
-  auto [It, Fresh] = R.Segments[Segment].emplace(K, *Payload);
-  (void)It;
-  if (Fresh && R.Store) {
-    R.Store->append(Segment, K, *Payload);
-    perfAdd(PerfCounter::CacheBytesWritten, Payload->size());
-  }
-  return Payload;
+  auto SegIt = R.Segments.find(Segment);
+  if (SegIt == R.Segments.end())
+    return std::nullopt;
+  auto It = SegIt->second.find(K);
+  if (It == SegIt->second.end())
+    return std::nullopt;
+  return It->second;
 }
 
-bool se2gis::persistentInsert(const char *Segment, const Hash128 &K,
+void se2gis::persistentInsert(const char *Segment, const Hash128 &K,
                               const std::string &Payload) {
   CacheRuntime &R = runtime();
-  std::shared_ptr<RemoteStore> Remote;
-  {
-    std::lock_guard<std::mutex> Lock(R.M);
-    if (!R.Store)
-      return false;
-    auto [It, Fresh] = R.Segments[Segment].emplace(K, Payload);
-    (void)It;
-    if (!Fresh)
-      return false; // already persisted (content-addressed: same payload)
-    R.Store->append(Segment, K, Payload);
-    perfAdd(PerfCounter::CacheBytesWritten, Payload.size());
-    Remote = R.Remote;
-  }
-  // Write-behind fan-out: enqueue only (bounded queue, background drainer);
-  // a slow tier never backpressures the solver thread.
-  if (Remote)
-    Remote->putAsync(Segment, K, Payload);
-  return true;
-}
-
-bool se2gis::isPersistentSegment(const std::string &Segment) {
-  for (const char *Name : kPersistentSegments)
-    if (Segment == Name)
-      return true;
-  return false;
+  std::lock_guard<std::mutex> Lock(R.M);
+  if (!R.Store)
+    return;
+  if (!R.Segments[Segment].emplace(K, Payload).second)
+    return; // already persisted (content-addressed: same payload)
+  R.Store->append(Segment, K, Payload);
+  perfAdd(PerfCounter::CacheBytesWritten, Payload.size());
 }
 
 std::uint64_t se2gis::persistentEntryCount() {

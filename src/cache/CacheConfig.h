@@ -11,15 +11,6 @@
 ///    (see SmtQueryCache's type checks and the suite runner's solution
 ///    re-verification), so a stale or corrupted store can never change a
 ///    verdict — only waste a re-validation.
-///  - \c Remote — Disk plus a shared cache tier: an `se2gis_served
-///    --cache disk` process whose `cache.get` / `cache.put` methods serve
-///    its own persistent segments (see src/cachenet/RemoteStore.h).
-///    Persistent lookups that miss locally probe the tier (read-through,
-///    populated downward on hit), persistent inserts fan out to it
-///    write-behind, and a dead or slow tier degrades the node to
-///    local-only via a circuit breaker — never a stalled or failed solve.
-///    Remote entries go through the exact same consumer re-validation as
-///    Disk entries.
 ///
 /// \c configureCache is idempotent for identical settings and thread-safe;
 /// the solver entry points call it with the run's \c SolverConfig, so the
@@ -40,24 +31,20 @@
 namespace se2gis {
 
 /// How much memoization is in effect.
-enum class CacheMode : unsigned char { Off, Mem, Disk, Remote };
+enum class CacheMode : unsigned char { Off, Mem, Disk };
 
-/// \returns "off" / "mem" / "disk" / "remote".
+/// \returns "off" / "mem" / "disk".
 const char *cacheModeName(CacheMode M);
 
-/// Parses "off" / "mem" / "disk" / "remote" (case-insensitively).
+/// Parses "off" / "mem" / "disk" (case-insensitively).
 std::optional<CacheMode> parseCacheMode(const std::string &Name);
 
 /// The cache knobs of a solver run (part of SolverConfig).
 struct CacheSettings {
   CacheMode Mode = CacheMode::Off;
-  /// Store directory for Disk/Remote mode (default: ./.se2gis-cache,
-  /// which is .gitignore'd).
+  /// Store directory for Disk mode (default: ./.se2gis-cache, which is
+  /// .gitignore'd).
   std::string Dir = ".se2gis-cache";
-  /// Address of the cache tier (an `se2gis_served --cache disk` process)
-  /// for Remote mode (SE2GIS_CACHE_ADDR / --cache-addr): unix:/path or
-  /// tcp:host:port.
-  std::string Addr;
 };
 
 /// Checks that \p Dir is usable as a cache directory: it must be absent
@@ -75,43 +62,30 @@ void configureCache(const CacheSettings &S);
 /// disk). Primarily for tests.
 void shutdownCache();
 
-/// Durability barrier for Disk/Remote mode: drains the remote write-behind
-/// queue (bounded), then fsyncs the persistent store's segment files and
-/// directory entry. No-op outside persistent modes. The service drain
-/// calls this after the last job — and, on a tier, after admission of
-/// `cache.put` has closed — so a reported-flushed store survives an
+/// Durability barrier for Disk mode: fsyncs the persistent store's segment
+/// files and directory entry. No-op outside Disk mode. The service drain
+/// calls this after the last job, so a reported-flushed store survives an
 /// immediate crash.
 void flushCache();
 
 CacheMode cacheMode();
 inline bool cacheEnabled() { return cacheMode() != CacheMode::Off; }
-inline bool cachePersistent() {
-  CacheMode M = cacheMode();
-  return M == CacheMode::Disk || M == CacheMode::Remote;
-}
+inline bool cachePersistent() { return cacheMode() == CacheMode::Disk; }
 
-/// Looks \p K up in persistent segment \p Segment ("smt", "suite", ...):
-/// the loaded local segment first, then — in Remote mode — one bounded
-/// tier probe, whose hit is populated downward into the local segment
-/// map and DiskStore before being returned. Returns nullopt unless a
-/// persistent mode is active and some tier held the key.
+/// Looks \p K up in the loaded persistent segment \p Segment ("smt",
+/// "suite", ...). Returns nullopt unless Disk mode is active and the
+/// segment holds the key.
 std::optional<std::string> persistentLookup(const char *Segment,
                                             const Hash128 &K);
 
-/// Appends (\p K, \p Payload) to persistent segment \p Segment (and, in
-/// Remote mode, enqueues a write-behind put to the tier); a no-op outside
-/// persistent modes. Keys are content addresses, so a key already held is
-/// not appended again. \returns true when the entry was new.
-bool persistentInsert(const char *Segment, const Hash128 &K,
+/// Appends (\p K, \p Payload) to persistent segment \p Segment; a no-op
+/// outside Disk mode. Keys are content addresses, so a key already held is
+/// not appended again.
+void persistentInsert(const char *Segment, const Hash128 &K,
                       const std::string &Payload);
 
-/// \returns true when \p Segment is one the runtime loads and serves
-/// ("smt" or "suite"). The shared tier admits only these: any other name
-/// would make persistentInsert create a segment file named by a client.
-bool isPersistentSegment(const std::string &Segment);
-
 /// Total entries held across the loaded persistent segments (0 outside
-/// persistent modes).
+/// Disk mode).
 std::uint64_t persistentEntryCount();
 
 } // namespace se2gis

@@ -29,8 +29,7 @@ struct Hash128 {
     return Hi != O.Hi ? Hi < O.Hi : Lo < O.Lo;
   }
 
-  /// Fixed-width lowercase hex rendering (32 chars), the on-disk key form
-  /// (and the wire form of the cache protocol, see src/cachenet/).
+  /// Fixed-width lowercase hex rendering (32 chars), the on-disk key form.
   std::string hex() const {
     static const char *Digits = "0123456789abcdef";
     std::string S(32, '0');

@@ -62,22 +62,16 @@ SolverConfig SolverConfig::fromEnv(std::int64_t DefaultTimeoutMs) {
     auto Mode = parseCacheMode(M);
     if (!Mode)
       userError(std::string("SE2GIS_CACHE: unknown cache mode '") + M +
-                "' (expected off, mem, disk, or remote)");
+                "' (expected off, mem, or disk)");
     C.Cache.Mode = *Mode;
   }
   if (const char *D = std::getenv("SE2GIS_CACHE_DIR"))
     C.Cache.Dir = D;
-  if (const char *A = std::getenv("SE2GIS_CACHE_ADDR"))
-    C.Cache.Addr = A;
-  if (C.Cache.Mode == CacheMode::Disk ||
-      C.Cache.Mode == CacheMode::Remote) {
+  if (C.Cache.Mode == CacheMode::Disk) {
     std::string Err = validateCacheDir(C.Cache.Dir);
     if (!Err.empty())
       userError("SE2GIS_CACHE_DIR: " + Err);
   }
-  if (C.Cache.Mode == CacheMode::Remote && C.Cache.Addr.empty())
-    userError("SE2GIS_CACHE=remote needs a daemon address "
-              "(SE2GIS_CACHE_ADDR or --cache-addr)");
   if (const char *L = std::getenv("SE2GIS_LOG")) {
     auto Level = parseLogLevel(L);
     if (!Level)

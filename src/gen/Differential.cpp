@@ -13,8 +13,7 @@
 
 using namespace se2gis;
 
-std::vector<FuzzConfigSpec> se2gis::defaultMatrix(bool Full,
-                                                  bool WithRemote) {
+std::vector<FuzzConfigSpec> se2gis::defaultMatrix(bool Full) {
   std::vector<FuzzConfigSpec> M;
   M.push_back({"se2gis-witness", AlgorithmKind::SE2GIS, UnrealMode::Witness,
                /*SmtIncremental=*/true, CacheMode::Off, false});
@@ -33,10 +32,6 @@ std::vector<FuzzConfigSpec> se2gis::defaultMatrix(bool Full,
                  /*SmtIncremental=*/true, CacheMode::Disk,
                  /*WarmRepeat=*/true});
   }
-  if (WithRemote)
-    M.push_back({"se2gis-remote", AlgorithmKind::SE2GIS, UnrealMode::Witness,
-                 /*SmtIncremental=*/true, CacheMode::Remote,
-                 /*WarmRepeat=*/true});
   return M;
 }
 
@@ -183,11 +178,8 @@ CaseReport se2gis::runSourceDifferential(
   std::vector<const FuzzConfigSpec *> Specs;
   auto ProblemPtr = std::make_shared<Problem>(loadProblem(Src));
   for (const FuzzConfigSpec &Spec : Matrix) {
-    bool NeedsDir =
-        Spec.Cache == CacheMode::Disk || Spec.Cache == CacheMode::Remote;
+    bool NeedsDir = Spec.Cache == CacheMode::Disk;
     if (NeedsDir && Opts.CacheDirBase.empty())
-      continue;
-    if (Spec.Cache == CacheMode::Remote && Opts.RemoteAddr.empty())
       continue;
     unsigned Repeats = Spec.WarmRepeat ? 2u : 1u;
     if (Spec.Cache != CacheMode::Off)
@@ -202,8 +194,6 @@ CaseReport se2gis::runSourceDifferential(
       if (NeedsDir)
         Conf.Cache.Dir =
             Opts.CacheDirBase + "/case" + std::to_string(CaseIndex);
-      if (Spec.Cache == CacheMode::Remote)
-        Conf.Cache.Addr = Opts.RemoteAddr;
       ConfigResult R;
       R.Label = Spec.Label + (Rep2 ? "+warm" : "");
       try {

@@ -48,9 +48,7 @@ struct FuzzConfigSpec {
 /// The shipped matrices: the small one covers SE2GIS/SEGIS+UC/Portfolio,
 /// witness vs race, incremental on/off, and a mem-cache cold/warm pair;
 /// \p Full adds the chc-only channel and a disk-cache cold/warm pair.
-/// \p WithRemote appends a remote-cache cold/warm pair (only run when
-/// DiffOptions::RemoteAddr is set).
-std::vector<FuzzConfigSpec> defaultMatrix(bool Full, bool WithRemote = false);
+std::vector<FuzzConfigSpec> defaultMatrix(bool Full);
 
 enum class FailureKind : unsigned char {
   None,
@@ -95,13 +93,9 @@ struct CaseReport {
 /// Knobs of one differential evaluation.
 struct DiffOptions {
   std::int64_t TimeoutMs = 2000; ///< per-config budget
-  /// Base directory for disk/remote-cache configs (a per-case subdirectory
-  /// is created under it). Disk and remote configs are skipped when empty.
+  /// Base directory for disk-cache configs (a per-case subdirectory is
+  /// created under it). Disk configs are skipped when empty.
   std::string CacheDirBase;
-  /// Cache tier address (an `se2gis_served --cache disk` process) for
-  /// remote-cache configs (--cache-addr).
-  /// Remote configs are skipped when empty.
-  std::string RemoteAddr;
   /// Test-only: flip the first conclusive verdict before classifying, so
   /// the failure path (classification, shrinking, corpus write) can be
   /// exercised end-to-end on healthy code.

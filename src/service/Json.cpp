@@ -2,6 +2,8 @@
 
 #include "service/Json.h"
 
+#include "support/Log.h"
+
 #include <cmath>
 #include <cstdio>
 
@@ -62,39 +64,6 @@ JsonValue &JsonValue::push(JsonValue V) {
 //===----------------------------------------------------------------------===//
 // Serialization
 //===----------------------------------------------------------------------===//
-
-std::string se2gis::jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (unsigned char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += static_cast<char>(C);
-      }
-    }
-  }
-  return Out;
-}
 
 void JsonValue::dumpTo(std::string &Out) const {
   switch (K) {

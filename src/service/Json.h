@@ -128,10 +128,6 @@ private:
   void dumpTo(std::string &Out) const;
 };
 
-/// Escapes \p S as the *contents* of a JSON string literal (no quotes).
-/// Exposed for the few writers that build JSON textually.
-std::string jsonEscape(const std::string &S);
-
 /// \returns true when \p S is well-formed UTF-8 (the validation the parser
 /// applies to every string literal; exposed for tests).
 bool isValidUtf8(const std::string &S);

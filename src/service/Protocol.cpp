@@ -5,12 +5,9 @@
 #include <arpa/inet.h>
 #include <cerrno>
 #include <cstring>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -288,51 +285,8 @@ int se2gis::listenOn(ServiceAddr &Addr, std::string &Error) {
   return Fd;
 }
 
-namespace {
-
-/// Connects \p Fd to \p Sa. With \p TimeoutMs >= 0 the socket is flipped
-/// non-blocking for the duration and the connect is bounded by poll; the
-/// fd comes back blocking either way.
-bool connectWithTimeout(int Fd, const sockaddr *Sa, socklen_t Len,
-                        int TimeoutMs, std::string &Error) {
-  if (TimeoutMs < 0) {
-    if (::connect(Fd, Sa, Len) < 0) {
-      Error = std::strerror(errno);
-      return false;
-    }
-    return true;
-  }
-  int Flags = ::fcntl(Fd, F_GETFL, 0);
-  ::fcntl(Fd, F_SETFL, Flags | O_NONBLOCK);
-  int R = ::connect(Fd, Sa, Len);
-  if (R < 0 && errno != EINPROGRESS) {
-    Error = std::strerror(errno);
-    return false;
-  }
-  if (R < 0) {
-    pollfd P = {Fd, POLLOUT, 0};
-    int N = ::poll(&P, 1, TimeoutMs);
-    if (N <= 0) {
-      Error = N == 0 ? "connect timed out" : std::strerror(errno);
-      return false;
-    }
-    int Err = 0;
-    socklen_t ErrLen = sizeof(Err);
-    if (::getsockopt(Fd, SOL_SOCKET, SO_ERROR, &Err, &ErrLen) < 0 || Err) {
-      Error = std::strerror(Err ? Err : errno);
-      return false;
-    }
-  }
-  ::fcntl(Fd, F_SETFL, Flags);
-  return true;
-}
-
-} // namespace
-
-int se2gis::connectTo(const ServiceAddr &Addr, std::string &Error,
-                      int TimeoutMs) {
+int se2gis::connectTo(const ServiceAddr &Addr, std::string &Error) {
   int Fd = -1;
-  std::string Reason;
   if (Addr.IsUnix) {
     sockaddr_un Sa;
     if (!fillUnixAddr(Addr.Path, Sa, Error))
@@ -342,9 +296,8 @@ int se2gis::connectTo(const ServiceAddr &Addr, std::string &Error,
       Error = std::string("socket: ") + std::strerror(errno);
       return -1;
     }
-    if (!connectWithTimeout(Fd, reinterpret_cast<sockaddr *>(&Sa), sizeof(Sa),
-                            TimeoutMs, Reason)) {
-      Error = "connect " + Addr.str() + ": " + Reason;
+    if (::connect(Fd, reinterpret_cast<sockaddr *>(&Sa), sizeof(Sa)) < 0) {
+      Error = "connect " + Addr.str() + ": " + std::strerror(errno);
       ::close(Fd);
       return -1;
     }
@@ -359,22 +312,11 @@ int se2gis::connectTo(const ServiceAddr &Addr, std::string &Error,
     }
     int One = 1;
     ::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
-    if (!connectWithTimeout(Fd, reinterpret_cast<sockaddr *>(&Sa), sizeof(Sa),
-                            TimeoutMs, Reason)) {
-      Error = "connect " + Addr.str() + ": " + Reason;
+    if (::connect(Fd, reinterpret_cast<sockaddr *>(&Sa), sizeof(Sa)) < 0) {
+      Error = "connect " + Addr.str() + ": " + std::strerror(errno);
       ::close(Fd);
       return -1;
     }
   }
   return Fd;
-}
-
-bool se2gis::setFdIoTimeout(int Fd, int TimeoutMs) {
-  if (Fd < 0 || TimeoutMs < 0)
-    return false;
-  timeval Tv;
-  Tv.tv_sec = TimeoutMs / 1000;
-  Tv.tv_usec = (TimeoutMs % 1000) * 1000;
-  return ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Tv, sizeof(Tv)) == 0 &&
-         ::setsockopt(Fd, SOL_SOCKET, SO_SNDTIMEO, &Tv, sizeof(Tv)) == 0;
 }

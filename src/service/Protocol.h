@@ -105,19 +105,8 @@ bool parseServiceAddr(const std::string &Text, ServiceAddr &Out,
 /// daemon owns its socket path).
 int listenOn(ServiceAddr &Addr, std::string &Error);
 
-/// Connects to \p Addr. \returns the fd, or -1 with \p Error. With
-/// \p TimeoutMs >= 0 the connect itself is bounded (non-blocking connect +
-/// poll), so an unreachable peer costs at most the timeout — the cache
-/// tier's client (src/cachenet/) relies on this to never stall a solve.
-/// The default (-1) keeps the historical blocking behavior.
-int connectTo(const ServiceAddr &Addr, std::string &Error,
-              int TimeoutMs = -1);
-
-/// Bounds every subsequent read(2)/write(2) on \p Fd to \p TimeoutMs
-/// (SO_RCVTIMEO/SO_SNDTIMEO). A timed-out read surfaces through readFrame
-/// as Truncated/IoError, never a hang. \returns false if the socket
-/// options could not be set.
-bool setFdIoTimeout(int Fd, int TimeoutMs);
+/// Connects to \p Addr (blocking). \returns the fd, or -1 with \p Error.
+int connectTo(const ServiceAddr &Addr, std::string &Error);
 
 /// Closes \p Fd if valid (EINTR-safe convenience).
 void closeFd(int Fd);

@@ -30,10 +30,6 @@ double msBetween(std::chrono::steady_clock::time_point From,
       .count();
 }
 
-/// Admission bound on one cache-tier entry. Well under the frame bound, so
-/// an oversized put is refused as bad_request, not hung up on.
-constexpr std::size_t kMaxCachePayloadBytes = 4u << 20;
-
 } // namespace
 
 Server::Server(ServiceConfig C)
@@ -187,22 +183,6 @@ std::string Server::renderMetrics() {
               JobLatency.snapshot());
   W.gauge("se2gis_cache_entries", "entries held in the persistent segments",
           static_cast<double>(persistentEntryCount()));
-  W.counter("se2gis_cache_tier_gets_total", "cache.get requests admitted",
-            static_cast<double>(TierGets.load()));
-  W.counter("se2gis_cache_tier_hits_total",
-            "cache.get requests that found the key",
-            static_cast<double>(TierHits.load()));
-  W.counter("se2gis_cache_tier_misses_total",
-            "cache.get requests with no entry",
-            static_cast<double>(TierMisses.load()));
-  W.counter("se2gis_cache_tier_puts_total", "cache.put requests admitted",
-            static_cast<double>(TierPuts.load()));
-  W.counter("se2gis_cache_tier_stored_total",
-            "cache.put requests that appended a new entry",
-            static_cast<double>(TierStored.load()));
-  W.counter("se2gis_cache_tier_rejected_total",
-            "cache.* requests refused by admission control",
-            static_cast<double>(TierRejected.load()));
   writeProcessMetrics(W, snapshotPerf());
   return W.str();
 }
@@ -319,10 +299,6 @@ JsonValue Server::handleRequest(const JsonValue &Req) {
   }
   if (Method == "drain")
     return handleDrain(Req);
-  if (Method == "cache.get")
-    return handleCacheGet(Req);
-  if (Method == "cache.put")
-    return handleCachePut(Req);
   if (Method == "ping") {
     JsonValue Resp = makeOkResponse();
     Resp.set("pong", JsonValue::boolean(true));
@@ -556,13 +532,6 @@ JsonValue Server::handleStats() {
   Cache.set("bytes_written", JsonValue::number(std::int64_t(
                                  Perf.get(PerfCounter::CacheBytesWritten))));
   Cache.set("entries", JsonValue::number(std::int64_t(persistentEntryCount())));
-  Cache.set("tier_gets", JsonValue::number(std::int64_t(TierGets.load())));
-  Cache.set("tier_hits", JsonValue::number(std::int64_t(TierHits.load())));
-  Cache.set("tier_misses", JsonValue::number(std::int64_t(TierMisses.load())));
-  Cache.set("tier_puts", JsonValue::number(std::int64_t(TierPuts.load())));
-  Cache.set("tier_stored", JsonValue::number(std::int64_t(TierStored.load())));
-  Cache.set("tier_rejected",
-            JsonValue::number(std::int64_t(TierRejected.load())));
   Resp.set("cache", std::move(Cache));
 
   HistogramSnapshot JobHist = JobLatency.snapshot();
@@ -593,82 +562,6 @@ JsonValue Server::handleDrain(const JsonValue &Req) {
   Resp.set("completed", JsonValue::number(std::int64_t(Final.Completed)));
   Resp.set("cancelled", JsonValue::number(std::int64_t(Final.Cancelled)));
   Resp.set("rejected", JsonValue::number(std::int64_t(Final.Rejected)));
-  return Resp;
-}
-
-bool Server::admitCacheEntry(const JsonValue &Req, std::string &Segment,
-                             Hash128 &Key, JsonValue &ErrorResp) {
-  // Only a disk-mode server is a tier; in particular a remote-mode node
-  // must never answer (or, through its own client, probe) itself.
-  if (cacheMode() != CacheMode::Disk) {
-    ErrorResp = makeErrorResponse(
-        ErrorCode::UnknownMethod,
-        "cache.* is served only by a --cache disk server (this one is '" +
-            std::string(cacheModeName(cacheMode())) + "')");
-    return false;
-  }
-  Segment = Req.getString("segment");
-  if (!isPersistentSegment(Segment)) {
-    TierRejected.fetch_add(1, std::memory_order_relaxed);
-    ErrorResp = makeErrorResponse(ErrorCode::BadRequest,
-                                  "bad segment (want 'smt' or 'suite')");
-    return false;
-  }
-  if (!Hash128::fromHex(Req.getString("key"), Key)) {
-    TierRejected.fetch_add(1, std::memory_order_relaxed);
-    ErrorResp = makeErrorResponse(ErrorCode::BadRequest,
-                                  "bad key (want 32 lowercase hex chars)");
-    return false;
-  }
-  if (DrainStarted.load(std::memory_order_acquire)) {
-    ErrorResp = makeErrorResponse(ErrorCode::Draining, "daemon is draining");
-    return false;
-  }
-  return true;
-}
-
-JsonValue Server::handleCacheGet(const JsonValue &Req) {
-  std::string Segment;
-  Hash128 Key;
-  JsonValue ErrorResp;
-  if (!admitCacheEntry(Req, Segment, Key, ErrorResp))
-    return ErrorResp;
-  TierGets.fetch_add(1, std::memory_order_relaxed);
-  std::optional<std::string> Payload =
-      persistentLookup(Segment.c_str(), Key);
-  (Payload ? TierHits : TierMisses).fetch_add(1, std::memory_order_relaxed);
-  JsonValue Resp = makeOkResponse();
-  Resp.set("found", JsonValue::boolean(Payload.has_value()));
-  if (Payload)
-    Resp.set("payload", JsonValue::str(std::move(*Payload)));
-  return Resp;
-}
-
-JsonValue Server::handleCachePut(const JsonValue &Req) {
-  std::string Segment;
-  Hash128 Key;
-  JsonValue ErrorResp;
-  if (!admitCacheEntry(Req, Segment, Key, ErrorResp))
-    return ErrorResp;
-  const JsonValue *Payload = Req.get("payload");
-  if (!Payload || !Payload->isString()) {
-    TierRejected.fetch_add(1, std::memory_order_relaxed);
-    return makeErrorResponse(ErrorCode::BadRequest,
-                             "put needs a string 'payload'");
-  }
-  if (Payload->asString().size() > kMaxCachePayloadBytes) {
-    TierRejected.fetch_add(1, std::memory_order_relaxed);
-    return makeErrorResponse(ErrorCode::BadRequest,
-                             "payload exceeds the admission bound (" +
-                                 std::to_string(kMaxCachePayloadBytes) +
-                                 " bytes)");
-  }
-  TierPuts.fetch_add(1, std::memory_order_relaxed);
-  bool Stored = persistentInsert(Segment.c_str(), Key, Payload->asString());
-  if (Stored)
-    TierStored.fetch_add(1, std::memory_order_relaxed);
-  JsonValue Resp = makeOkResponse();
-  Resp.set("stored", JsonValue::boolean(Stored));
   return Resp;
 }
 

@@ -16,16 +16,8 @@
 ///    live `stats` response (queue depth, in-flight, cache hit rates,
 ///    latency quantiles).
 ///
-/// A server started with `--cache disk` is also the shared cache tier:
-/// `cache.get {"segment","key"}` and `cache.put {"segment","key",
-/// "payload"}` run on the connection thread against the process's own
-/// persistent segments (persistentLookup / persistentInsert), which
-/// remote-mode nodes reach through src/cachenet/RemoteStore.h. The tier
-/// process owns the shared directory: its one DiskStore is the only
-/// writer, so the store's single-writer rule holds by construction.
-///
 /// Graceful drain (protocol `drain` request or SIGINT/SIGTERM): stop
-/// admitting (typed `draining` rejections, cache.* included), let
+/// admitting (typed `draining` rejections), let
 /// in-flight jobs finish under the drain deadline — cancel whatever
 /// remains past it —, flush the persistent cache store (fsync'd, see
 /// DiskStore::sync), stop the accept loop, join everything, exit 0.
@@ -35,7 +27,6 @@
 #ifndef SE2GIS_SERVICE_SERVER_H
 #define SE2GIS_SERVICE_SERVER_H
 
-#include "cache/Hash128.h"
 #include "service/JobQueue.h"
 #include "service/Protocol.h"
 #include "support/Histogram.h"
@@ -128,12 +119,6 @@ private:
   JsonValue handleCancel(const JsonValue &Req);
   JsonValue handleStats();
   JsonValue handleDrain(const JsonValue &Req);
-  JsonValue handleCacheGet(const JsonValue &Req);
-  JsonValue handleCachePut(const JsonValue &Req);
-  /// The admission checks shared by cache.get and cache.put. \returns
-  /// false with the typed error in \p ErrorResp.
-  bool admitCacheEntry(const JsonValue &Req, std::string &Segment,
-                       Hash128 &Key, JsonValue &ErrorResp);
   JsonValue jobStateJson(const Job &J, bool WithResult) const;
 
   ServiceConfig Config;
@@ -146,9 +131,6 @@ private:
   /// Request ids, minted per framed request at admission and threaded into
   /// logs, spans, flight events, job state, and every response payload.
   std::atomic<std::uint64_t> NextRid{1};
-  /// Shared cache tier traffic (cache.get / cache.put).
-  std::atomic<std::uint64_t> TierGets{0}, TierHits{0}, TierMisses{0};
-  std::atomic<std::uint64_t> TierPuts{0}, TierStored{0}, TierRejected{0};
 
   int ListenFd = -1;
   int MetricsFd = -1;

@@ -325,6 +325,7 @@ void se2gis::writeSuitePerfJson(std::ostream &OS,
        << ", \"elapsed_ms\": " << R.Result.Stats.ElapsedMs
        << ", \"evidence\": \"" << verdictSourceName(R.Result.Ev.Source)
        << "\", \"channel\": \"" << R.Result.Ev.Channel
+       << "\", \"detail\": \"" << jsonEscape(R.Result.Detail)
        << "\", \"phase_ms\": {\"eval\": " << R.Result.Stats.Phases.getMs(Phase::Eval)
        << ", \"smt\": " << R.Result.Stats.Phases.getMs(Phase::Smt)
        << ", \"enum\": " << R.Result.Stats.Phases.getMs(Phase::Enum)

@@ -74,7 +74,7 @@ void writeSuitePerfJson(std::ostream &OS,
 bool isSolved(const SuiteRecord &R);
 
 //===----------------------------------------------------------------------===//
-// Warm-start entry format (exposed for the cache-tier tests)
+// Warm-start entry format (exposed for the cache tests)
 //===----------------------------------------------------------------------===//
 
 /// Key of a suite-level warm-start entry in the persistent "suite"
@@ -92,7 +92,7 @@ std::string encodeSuiteSolution(const Problem &P, const UnknownBindings &Sol);
 /// signatures, minting fresh parameter variables. Total: malformed input,
 /// signature drift, or a type mismatch all yield nullopt. A payload that
 /// decodes is still only a *candidate* — the runner re-verifies it with
-/// verifySolution before any reuse, which is what keeps remote cache
+/// verifySolution before any reuse, which is what keeps persistent cache
 /// entries untrusted.
 std::optional<UnknownBindings> decodeSuiteSolution(const Problem &P,
                                                    const std::string &S);

@@ -57,8 +57,9 @@ std::string timestampUtc() {
   return Buf;
 }
 
-/// Minimal JSON string escaping (quotes, backslash, control characters).
-std::string jsonEscape(const std::string &S) {
+} // namespace
+
+std::string se2gis::jsonEscape(const std::string &S) {
   std::string Out;
   Out.reserve(S.size() + 8);
   for (char C : S) {
@@ -90,8 +91,6 @@ std::string jsonEscape(const std::string &S) {
   }
   return Out;
 }
-
-} // namespace
 
 const char *se2gis::logLevelName(LogLevel L) {
   switch (L) {

@@ -90,6 +90,12 @@ private:
   std::uint64_t Prev;
 };
 
+/// Escapes \p S as the *contents* of a JSON string literal (no quotes):
+/// quotes, backslash, and every control character. The one escaper behind
+/// every JSON the program writes (log sink, trace export, service wire,
+/// suite perf JSON, fuzz manifests).
+std::string jsonEscape(const std::string &S);
+
 /// Emits one record (already formatted). Serialized internally; a no-op
 /// when \p L is not admitted.
 void logMessage(LogLevel L, const char *Component, const std::string &Message);

@@ -147,7 +147,6 @@ void se2gis::writeProcessMetrics(PrometheusWriter &W,
       "Term-to-Z3 translation time per checkSat",
       "latency of one PBE enumeration search",
       "latency of one memoization-cache lookup",
-      "latency of one remote cache-tier round trip",
   };
   static_assert(sizeof(HistHelp) / sizeof(HistHelp[0]) ==
                     static_cast<size_t>(PerfHistogram::NumPerfHistograms),

@@ -64,12 +64,6 @@ constexpr CounterMeta GCounterMeta[static_cast<size_t>(
     {"cache_suite_misses", "suite-level warm-start misses"},
     {"cache_bytes_written", "bytes appended to the persistent store"},
     {"cache_bytes_loaded", "bytes read back from the persistent store"},
-    {"cache_remote_hits", "remote cache-tier probes that returned a payload"},
-    {"cache_remote_misses", "remote cache-tier probes with no entry"},
-    {"cache_remote_errors",
-     "remote probes/puts lost to transport or protocol failure"},
-    {"cache_remote_degraded",
-     "probes suppressed while the circuit breaker is open"},
     {"chc_queries", "fixedpoint queries issued by the CHC channel"},
     {"chc_unsat", "CHC queries proving realizable underivable"},
     {"chc_derivable", "CHC queries where the instantiation was derivable"},
@@ -96,7 +90,6 @@ constexpr const char *GHistName[static_cast<size_t>(
     "smt_translate",
     "enum_round",
     "cache_probe",
-    "cache_remote_probe",
 };
 
 } // namespace

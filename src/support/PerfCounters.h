@@ -53,13 +53,6 @@ enum class PerfCounter : unsigned char {
   CacheSuiteMisses,  ///< suite-level warm-start misses
   CacheBytesWritten, ///< bytes appended to the persistent store
   CacheBytesLoaded,  ///< bytes read back from the persistent store
-  CacheRemoteHits,   ///< remote cache-tier probes that returned a payload
-  CacheRemoteMisses, ///< remote cache-tier probes the daemon had no entry for
-  CacheRemoteErrors, ///< remote probes/puts lost to transport or protocol
-                     ///< failure (timeouts, hangups, malformed responses,
-                     ///< write-behind queue overflow)
-  CacheRemoteDegraded, ///< probes suppressed while the circuit breaker is
-                       ///< open (local-only degradation, see src/cachenet/)
   ChcQueries,   ///< fixedpoint queries issued by the CHC channel
   ChcUnsat,     ///< ... that proved `realizable` underivable (unrealizable)
   ChcDerivable, ///< ... where the instantiated system was derivable
@@ -105,9 +98,6 @@ enum class PerfHistogram : unsigned char {
                   ///< incremental re-checks show up as near-zero samples)
   EnumRoundNs,  ///< wall time of one PBE enumeration search
   CacheProbeNs, ///< wall time of one memoization-cache lookup
-  CacheRemoteProbeNs, ///< wall time of one remote cache-tier round trip
-                      ///< (including degraded fast-fails, which show up as
-                      ///< near-zero samples)
   NumPerfHistograms
 };
 
@@ -192,8 +182,6 @@ PerfSnapshot snapshotPerf();
 ///    "cache_smt_evictions":N,"cache_pbe_hits":N,"cache_pbe_misses":N,
 ///    "cache_sge_hits":N,"cache_sge_misses":N,"cache_suite_hits":N,
 ///    "cache_suite_misses":N,"cache_bytes_written":N,"cache_bytes_loaded":N,
-///    "cache_remote_hits":N,"cache_remote_misses":N,
-///    "cache_remote_errors":N,"cache_remote_degraded":N,
 ///    "chc_queries":N,"chc_unsat":N,"chc_derivable":N,"chc_unknown":N,
 ///    "chc_clauses":N,"chc_race_wins":N,
 ///    "chc_skipped_nonscalar":N,"chc_skipped_equations":N,
@@ -202,7 +190,7 @@ PerfSnapshot snapshotPerf();
 ///    "witness_queries":N,"bounded_instantiations":N,
 ///    "symbolic_unfoldings":N,"eval_fuel_exhausted":N,
 ///    ...and, per latency histogram H in {smt_check, smt_translate,
-///    enum_round, cache_probe, cache_remote_probe}: "H_count":N,
+///    enum_round, cache_probe}: "H_count":N,
 ///    "H_p50_ms":X,"H_p90_ms":X,"H_p99_ms":X,"H_max_ms":X}
 void writePerfJson(std::ostream &OS, const PerfSnapshot &Delta);
 

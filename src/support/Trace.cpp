@@ -71,36 +71,6 @@ std::chrono::steady_clock::time_point traceEpoch() {
   return E;
 }
 
-void writeEscaped(std::ostream &OS, const std::string &S) {
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      OS << "\\\"";
-      break;
-    case '\\':
-      OS << "\\\\";
-      break;
-    case '\n':
-      OS << "\\n";
-      break;
-    case '\t':
-      OS << "\\t";
-      break;
-    case '\r':
-      OS << "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        OS << Buf;
-      } else {
-        OS << C;
-      }
-    }
-  }
-}
-
 void atExitFlush() {
   if (traceEnabled())
     traceFlush();
@@ -231,9 +201,7 @@ void se2gis::traceWriteJson(std::ostream &OS) {
         const TraceArg &A = E.Args[I];
         OS << (I ? "," : "") << "\"" << A.Key << "\":";
         if (A.Quoted) {
-          OS << "\"";
-          writeEscaped(OS, A.Value);
-          OS << "\"";
+          OS << "\"" << jsonEscape(A.Value) << "\"";
         } else {
           OS << A.Value;
         }

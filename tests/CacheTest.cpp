@@ -3,10 +3,13 @@
 // Covers the content-addressed cache stack (src/cache/): canonical hashing
 // determinism, the sharded in-memory caches under concurrency, SMT-query
 // memoization semantics (soft assertions, deadline bypass), the persistent
-// store's corruption tolerance, and configuration validation.
+// store's corruption tolerance, the re-verification that keeps a poisoned
+// suite warm-start entry from changing a verdict, and configuration
+// validation.
 //
 //===----------------------------------------------------------------------===//
 
+#include "ast/Term.h"
 #include "cache/CacheConfig.h"
 #include "cache/Canonical.h"
 #include "cache/DiskStore.h"
@@ -16,6 +19,7 @@
 #include "cache/TermIO.h"
 #include "core/SynthesisTask.h"
 #include "smt/Solver.h"
+#include "suite/Runner.h"
 #include "support/Diagnostics.h"
 #include "support/PerfCounters.h"
 #include "support/ThreadPool.h"
@@ -505,6 +509,84 @@ TEST_F(CacheTest, DiskModePersistsSmtVerdictsAcrossReconfiguration) {
   EXPECT_GE(Delta.get(PerfCounter::CacheSmtHits), 1u);
 }
 
+/// Builds a well-formed but wrong warm-start payload for \p P: every
+/// unknown gets a trivially-typed body (a parameter of the return type, or
+/// a constant). \returns "" when no such body exists for some unknown.
+std::string wrongSolutionPayload(const Problem &P) {
+  UnknownBindings Sol;
+  for (const UnknownSig &Sig : P.Unknowns) {
+    std::vector<VarPtr> Params;
+    for (size_t I = 0; I < Sig.ArgTypes.size(); ++I) {
+      std::string Name = "w";
+      Name += std::to_string(I);
+      Params.push_back(namedVar(Name, Sig.ArgTypes[I]));
+    }
+    TermPtr Body;
+    for (const VarPtr &V : Params)
+      if (V->Ty->str() == Sig.RetTy->str()) {
+        Body = mkVar(V);
+        break;
+      }
+    if (!Body && Sig.RetTy->isInt())
+      Body = mkIntLit(41);
+    if (!Body && Sig.RetTy->isBool())
+      Body = mkBoolLit(false);
+    if (!Body)
+      return "";
+    Sol[Sig.Name] = UnknownDef{std::move(Params), std::move(Body)};
+  }
+  return encodeSuiteSolution(P, Sol);
+}
+
+TEST_F(CacheTest, PoisonedSuiteEntryCannotFlipVerdict) {
+  // An unrealizable benchmark: any warm-start entry claiming Realizable is
+  // a lie, and re-verification must catch it.
+  const BenchmarkDef *Def = findBenchmark("unreal/min_no_invariant");
+  ASSERT_NE(Def, nullptr);
+  ASSERT_FALSE(Def->ExpectRealizable);
+  Problem P = loadBenchmark(*Def);
+
+  SuiteOptions Opts;
+  Opts.Config.Algo.TimeoutMs = 15000;
+  Opts.Config.Filter = Def->Name;
+  Opts.Config.Verbose = false;
+  Opts.Config.Cache.Mode = CacheMode::Disk;
+  Opts.Config.Cache.Dir = freshDir("poison");
+  Opts.Algorithms = {AlgorithmKind::SE2GIS, AlgorithmKind::SEGISUC};
+
+  // Poison the store under the exact warm-start keys the runner computes:
+  // (a) a decodable-but-wrong solution for SE2GIS, (b) garbage bytes for
+  // SEGIS+UC.
+  std::string Poison = wrongSolutionPayload(P);
+  ASSERT_FALSE(Poison.empty());
+  // The wrong payload must actually decode — otherwise this test would
+  // only cover the decoder-reject path.
+  ASSERT_TRUE(decodeSuiteSolution(P, Poison).has_value());
+  configureCache(Opts.Config.Cache);
+  persistentInsert(
+      "suite", suiteWarmStartKey(*Def, AlgorithmKind::SE2GIS, Opts.Config),
+      Poison);
+  persistentInsert(
+      "suite", suiteWarmStartKey(*Def, AlgorithmKind::SEGISUC, Opts.Config),
+      "v1\nnot a solution");
+  // A fresh process: the sweep reads both entries back from the directory.
+  shutdownCache();
+
+  PerfSnapshot Before = snapshotPerf();
+  std::vector<SuiteRecord> Recs = runSuite(Opts);
+  PerfSnapshot Delta = snapshotPerf().since(Before);
+
+  ASSERT_EQ(Recs.size(), 2u);
+  for (const SuiteRecord &R : Recs) {
+    EXPECT_EQ(R.Result.V, Verdict::Unrealizable)
+        << algorithmName(R.Algorithm) << ": " << R.Result.Detail;
+    EXPECT_NE(R.Result.Ev.Source, VerdictSource::Cache)
+        << algorithmName(R.Algorithm);
+  }
+  EXPECT_EQ(Delta.get(PerfCounter::CacheSuiteHits), 0u);
+  EXPECT_EQ(Delta.get(PerfCounter::CacheSuiteMisses), 2u);
+}
+
 // --- Configuration ------------------------------------------------------===//
 
 TEST_F(CacheTest, ParseCacheModeAcceptsAliases) {
@@ -513,6 +595,9 @@ TEST_F(CacheTest, ParseCacheModeAcceptsAliases) {
   EXPECT_EQ(parseCacheMode("MEMORY"), CacheMode::Mem);
   EXPECT_EQ(parseCacheMode("disk"), CacheMode::Disk);
   EXPECT_EQ(parseCacheMode("bogus"), std::nullopt);
+  // Names of no mode are rejected, not mapped to a default.
+  EXPECT_EQ(parseCacheMode("remote"), std::nullopt);
+  EXPECT_EQ(parseCacheMode("net"), std::nullopt);
 }
 
 TEST_F(CacheTest, ValidateCacheDirRejectsRegularFile) {
@@ -530,6 +615,15 @@ TEST_F(CacheTest, FromEnvRejectsUnusableCacheDir) {
   EXPECT_THROW((void)SolverConfig::fromEnv(), UserError);
   ::setenv("SE2GIS_CACHE", "bogus", 1);
   EXPECT_THROW((void)SolverConfig::fromEnv(), UserError);
+  ::setenv("SE2GIS_CACHE", "remote", 1);
+  try {
+    (void)SolverConfig::fromEnv();
+    ADD_FAILURE() << "SE2GIS_CACHE=remote was accepted";
+  } catch (const UserError &E) {
+    EXPECT_NE(std::string(E.what()).find("off, mem, or disk"),
+              std::string::npos)
+        << E.what();
+  }
   ::unsetenv("SE2GIS_CACHE");
   ::unsetenv("SE2GIS_CACHE_DIR");
 }

@@ -11,6 +11,7 @@
 
 #include "suite/Runner.h"
 
+#include "service/Json.h"
 #include "support/PerfCounters.h"
 #include "support/ThreadPool.h"
 
@@ -177,6 +178,36 @@ TEST(RunnerParallelTest, WritesPerfJsonSummary) {
   // The sweep really went through the SMT stack.
   EXPECT_EQ(J.find("\"smt_queries\":0,"), std::string::npos);
   std::remove(Opts.Config.PerfJsonPath.c_str());
+}
+
+TEST(RunnerParallelTest, PerfJsonRecordsCarryDetail) {
+  // A give-up or timeout explains itself in the suite JSON: the record's
+  // detail survives escaping and parses back verbatim.
+  const BenchmarkDef *Def = findBenchmark("list/sum");
+  ASSERT_NE(Def, nullptr);
+  std::vector<SuiteRecord> Records(2);
+  Records[0].Def = Def;
+  Records[0].Result.V = Verdict::Failed;
+  Records[0].Result.Detail =
+      "the synthesis step for the \"approximation\" failed:\n\tsize\t5\r";
+  Records[1].Def = Def;
+  Records[1].Algorithm = AlgorithmKind::SEGIS;
+  Records[1].Result.V = Verdict::Timeout;
+  Records[1].Result.Detail = "budget expired in round 3 (path C:\\tmp)";
+
+  std::ostringstream OS;
+  writeSuitePerfJson(OS, Records, PerfSnapshot{}, 1.0, 1);
+  JsonValue V;
+  std::string Error;
+  ASSERT_TRUE(JsonValue::parse(OS.str(), V, Error)) << Error << "\n"
+                                                      << OS.str();
+  const JsonValue *Recs = V.get("records");
+  ASSERT_NE(Recs, nullptr);
+  ASSERT_EQ(Recs->items().size(), 2u);
+  EXPECT_EQ(Recs->items()[0].getString("outcome"), "failed");
+  EXPECT_EQ(Recs->items()[0].getString("detail"), Records[0].Result.Detail);
+  EXPECT_EQ(Recs->items()[1].getString("outcome"), "timeout");
+  EXPECT_EQ(Recs->items()[1].getString("detail"), Records[1].Result.Detail);
 }
 
 } // namespace

@@ -6,9 +6,8 @@
 /// lengths), address parsing, the JobQueue scheduling/admission semantics,
 /// a multi-client integration pass against a real in-process daemon —
 /// concurrent submits, cancels, typed errors, stats and drain, with the
-/// invariant that no job is ever lost or double-reported —, and the shared
-/// cache tier a `--cache disk` daemon serves (cache.get / cache.put,
-/// admission, stats, drain, restart).
+/// invariant that no job is ever lost or double-reported —, and the
+/// persistent store a `--cache disk` daemon keeps across a restart.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -755,250 +754,57 @@ TEST(ServiceIntegration, GracefulDrainViaProtocol) {
   EXPECT_EQ(After, nullptr);
 }
 
-//===----------------------------------------------------------------------===//
-// Shared cache tier: cache.get / cache.put on a --cache disk daemon
-//===----------------------------------------------------------------------===//
+TEST(ServiceIntegration, DiskCacheEntriesSurviveRestart) {
+  // A --cache disk daemon persists what its jobs learn: `stats` and the
+  // exposition count the entries, and a restart on the same directory
+  // reloads exactly as many.
+  namespace fs = std::filesystem;
+  const std::string Dir = (fs::temp_directory_path() /
+                           ("se2gis-served-disk-" + std::to_string(::getpid())))
+                              .string();
+  fs::remove_all(Dir);
+  shutdownCache();
+  ServiceConfig Config;
+  Config.Workers = 1;
+  Config.Base.Cache.Mode = CacheMode::Disk;
+  Config.Base.Cache.Dir = Dir;
 
-namespace {
-
-namespace fs = std::filesystem;
-
-/// A private store directory per test, two levels under a scratch root so
-/// that a `../../x` segment would still land inside the root. The cache
-/// runtime is process-wide, so it is reset before and after each test.
-class ServiceCacheTier : public ::testing::Test {
-protected:
-  void SetUp() override {
-    shutdownCache();
-    Root = (fs::temp_directory_path() /
-            ("se2gis-tier-" +
-             std::string(::testing::UnitTest::GetInstance()
-                             ->current_test_info()
-                             ->name()) +
-             "-" + std::to_string(::getpid())))
-               .string();
-    fs::remove_all(Root);
-    fs::create_directories(Root + "/tier");
-    Dir = Root + "/tier/store";
-  }
-  void TearDown() override {
-    shutdownCache();
-    fs::remove_all(Root);
-  }
-
-  ServiceConfig tierConfig(CacheMode Mode = CacheMode::Disk) {
-    ServiceConfig Config;
-    Config.Workers = 1;
-    Config.Base.Cache.Mode = Mode;
-    Config.Base.Cache.Dir = Dir;
-    if (Mode == CacheMode::Remote)
-      Config.Base.Cache.Addr = "unix:" + Root + "/nobody.sock";
-    return Config;
-  }
-
-  /// Every path under the scratch root.
-  std::set<std::string> scratchFiles() const {
-    std::set<std::string> Files;
-    for (const auto &E : fs::recursive_directory_iterator(Root))
-      Files.insert(E.path().string());
-    return Files;
-  }
-
-  std::string Root;
-  std::string Dir;
-};
-
-JsonValue cacheReq(const char *Method, const std::string &Segment,
-                   const std::string &KeyHex) {
-  JsonValue Req = JsonValue::object();
-  Req.set("method", JsonValue::str(Method));
-  Req.set("segment", JsonValue::str(Segment));
-  Req.set("key", JsonValue::str(KeyHex));
-  return Req;
-}
-
-JsonValue cacheGet(const std::string &Segment, const std::string &KeyHex) {
-  return cacheReq("cache.get", Segment, KeyHex);
-}
-
-JsonValue cachePut(const std::string &Segment, const std::string &KeyHex,
-                   const std::string &Payload) {
-  JsonValue Req = cacheReq("cache.put", Segment, KeyHex);
-  Req.set("payload", JsonValue::str(Payload));
-  return Req;
-}
-
-/// A 32-hex key distinct per \p Tag.
-std::string keyHex(unsigned char Tag) {
-  static const char Digits[] = "0123456789abcdef";
-  std::string Hex(32, '0');
-  Hex[30] = Digits[(Tag >> 4) & 0xf];
-  Hex[31] = Digits[Tag & 0xf];
-  return Hex;
-}
-
-/// Sends \p Req, failing the test on a transport error.
-JsonValue exchange(ServiceClient &C, const JsonValue &Req) {
-  JsonValue Resp;
-  std::string Error;
-  EXPECT_TRUE(C.call(Req, Resp, Error)) << Error;
-  return Resp;
-}
-
-std::string errorCode(const JsonValue &Resp) {
-  const JsonValue *E = Resp.get("error");
-  return E ? E->getString("code") : "";
-}
-
-/// The `cache` object of a `stats` response.
-JsonValue cacheStats(ServiceClient &C) {
-  JsonValue Resp;
-  std::string Error;
-  EXPECT_TRUE(C.call("stats", Resp, Error)) << Error;
-  const JsonValue *Cache = Resp.get("cache");
-  EXPECT_NE(Cache, nullptr) << Resp.dump();
-  return Cache ? *Cache : JsonValue::object();
-}
-
-} // namespace
-
-TEST_F(ServiceCacheTier, MissPutHitStatsAndRestart) {
-  const std::string Key = keyHex(1);
+  std::int64_t Entries = 0;
   {
-    DaemonFixture D(tierConfig());
+    DaemonFixture D(Config);
     auto C = D.client();
     ASSERT_NE(C, nullptr);
-
-    JsonValue R = exchange(*C, cacheGet("smt", Key));
-    EXPECT_TRUE(R.getBool("ok")) << R.dump();
-    EXPECT_FALSE(R.getBool("found"));
-
-    R = exchange(*C, cachePut("smt", Key, "payload-bytes"));
-    EXPECT_TRUE(R.getBool("ok")) << R.dump();
-    EXPECT_TRUE(R.getBool("stored"));
-    R = exchange(*C, cacheGet("smt", Key));
-    EXPECT_TRUE(R.getBool("found")) << R.dump();
-    EXPECT_EQ(R.getString("payload"), "payload-bytes");
-
-    // Content-addressed: a duplicate put is acknowledged, not re-stored.
-    R = exchange(*C, cachePut("smt", Key, "payload-bytes"));
-    EXPECT_TRUE(R.getBool("ok")) << R.dump();
-    EXPECT_FALSE(R.getBool("stored"));
-
-    JsonValue Cache = cacheStats(*C);
-    EXPECT_EQ(Cache.getString("mode"), "disk");
-    EXPECT_EQ(Cache.getInt("tier_gets"), 2);
-    EXPECT_EQ(Cache.getInt("tier_hits"), 1);
-    EXPECT_EQ(Cache.getInt("tier_misses"), 1);
-    EXPECT_EQ(Cache.getInt("tier_puts"), 2);
-    EXPECT_EQ(Cache.getInt("tier_stored"), 1);
-    EXPECT_EQ(Cache.getInt("tier_rejected"), 0);
-    EXPECT_EQ(Cache.getInt("entries"), 1);
-
-    // The Prometheus exposition carries the same counts.
-    std::string Metrics = D.S->renderMetrics();
-    EXPECT_NE(Metrics.find("\nse2gis_cache_tier_hits_total 1\n"),
-              std::string::npos)
-        << Metrics;
-    EXPECT_NE(Metrics.find("\nse2gis_cache_tier_stored_total 1\n"),
-              std::string::npos)
-        << Metrics;
-    EXPECT_NE(Metrics.find("\nse2gis_cache_entries 1\n"), std::string::npos)
-        << Metrics;
+    JsonValue Resp;
+    std::string Error;
+    ASSERT_TRUE(C->call(submitReq(se2gis_tests::kMinSortedSrc, 20000, "min-s"),
+                        Resp, Error))
+        << Error;
+    ASSERT_TRUE(Resp.getBool("ok")) << Resp.dump();
+    EXPECT_EQ(awaitTerminal(*C, Resp.getString("job")), "done");
+    ASSERT_TRUE(C->call("stats", Resp, Error)) << Error;
+    const JsonValue *Cache = Resp.get("cache");
+    ASSERT_NE(Cache, nullptr) << Resp.dump();
+    EXPECT_EQ(Cache->getString("mode"), "disk");
+    Entries = Cache->getInt("entries", 0);
+    EXPECT_GT(Entries, 0) << Resp.dump();
+    EXPECT_NE(D.S->renderMetrics().find("\nse2gis_cache_entries " +
+                                        std::to_string(Entries) + "\n"),
+              std::string::npos);
   } // the fixture drains: the store is fsync'd before the daemon exits
 
   // Drop the in-memory segments so the restart really reads the directory.
   shutdownCache();
-  DaemonFixture D(tierConfig());
-  auto C = D.client();
-  ASSERT_NE(C, nullptr);
-  JsonValue R = exchange(*C, cacheGet("smt", Key));
-  EXPECT_TRUE(R.getBool("found")) << R.dump();
-  EXPECT_EQ(R.getString("payload"), "payload-bytes");
-  EXPECT_EQ(cacheStats(*C).getInt("entries"), 1);
-}
-
-TEST_F(ServiceCacheTier, AdmissionRefusesHostileRequests) {
-  DaemonFixture D(tierConfig());
-  auto C = D.client();
-  ASSERT_NE(C, nullptr);
-  const std::set<std::string> Before = scratchFiles();
-  const std::string Key = keyHex(2);
-
-  // Segment names become file names: only the served segments are
-  // admitted, so neither traversal nor a new name reaches the store.
-  for (const char *Segment : {"../../etc", "a/b", "foo"}) {
-    EXPECT_EQ(errorCode(exchange(*C, cachePut(Segment, Key, "x"))),
-              "bad_request")
-        << Segment;
-    EXPECT_EQ(errorCode(exchange(*C, cacheGet(Segment, Key))), "bad_request")
-        << Segment;
-  }
-  // Keys must be exactly 32 hex chars.
-  EXPECT_EQ(errorCode(exchange(*C, cacheGet("smt", "zz"))), "bad_request");
-  EXPECT_EQ(errorCode(exchange(*C, cachePut("smt", "abc", "x"))),
-            "bad_request");
-  // A payload over the 4 MiB entry bound is refused as bad_request (the
-  // frame itself is within the protocol bound).
-  const std::string Oversized((4u << 20) + 1, 'p');
-  EXPECT_EQ(errorCode(exchange(*C, cachePut("smt", Key, Oversized))),
-            "bad_request");
-  // A put without a string payload.
-  JsonValue NoPayload = cacheReq("cache.put", "smt", Key);
-  EXPECT_EQ(errorCode(exchange(*C, NoPayload)), "bad_request");
-
-  EXPECT_EQ(scratchFiles(), Before);
-  JsonValue Cache = cacheStats(*C);
-  EXPECT_EQ(Cache.getInt("entries"), 0);
-  EXPECT_EQ(Cache.getInt("tier_puts"), 0);
-  EXPECT_EQ(Cache.getInt("tier_rejected"), 10);
-
-  // The connection survived every refusal.
-  JsonValue R = exchange(*C, cacheGet("smt", Key));
-  EXPECT_TRUE(R.getBool("ok")) << R.dump();
-  EXPECT_FALSE(R.getBool("found"));
-}
-
-TEST_F(ServiceCacheTier, OnlyDiskModeServesTheTier) {
-  // Off and Mem hold no shared store; a remote-mode node must never answer
-  // (or, through its own client, probe) itself.
-  for (CacheMode Mode : {CacheMode::Off, CacheMode::Mem, CacheMode::Remote}) {
-    DaemonFixture D(tierConfig(Mode));
+  {
+    DaemonFixture D(Config);
     auto C = D.client();
     ASSERT_NE(C, nullptr);
-    EXPECT_EQ(errorCode(exchange(*C, cacheGet("smt", keyHex(3)))),
-              "unknown_method")
-        << cacheModeName(Mode);
-    EXPECT_EQ(errorCode(exchange(*C, cachePut("smt", keyHex(3), "x"))),
-              "unknown_method")
-        << cacheModeName(Mode);
+    JsonValue Resp;
+    std::string Error;
+    ASSERT_TRUE(C->call("stats", Resp, Error)) << Error;
+    const JsonValue *Cache = Resp.get("cache");
+    ASSERT_NE(Cache, nullptr) << Resp.dump();
+    EXPECT_EQ(Cache->getInt("entries", 0), Entries) << Resp.dump();
   }
-}
-
-TEST_F(ServiceCacheTier, PutAfterDrainBeginsIsRefusedDraining) {
-  ServiceConfig Config = tierConfig();
-  Config.Listen = "tcp:127.0.0.1:0";
-  Server S(std::move(Config));
-  std::string Error;
-  ASSERT_TRUE(S.start(Error)) << Error;
-  const std::string Addr = S.addr().str();
-
-  // A connection opened (and served) before the drain: the accept loop
-  // stops at drain, but live connections keep being answered until run()
-  // winds them down.
-  auto Early = ServiceClient::connect(Addr, Error);
-  ASSERT_NE(Early, nullptr) << Error;
-  JsonValue Resp;
-  ASSERT_TRUE(Early->call("ping", Resp, Error)) << Error;
-
-  auto Drainer = ServiceClient::connect(Addr, Error);
-  ASSERT_NE(Drainer, nullptr) << Error;
-  ASSERT_TRUE(Drainer->call("drain", Resp, Error)) << Error;
-  EXPECT_TRUE(Resp.getBool("drained")) << Resp.dump();
-
-  EXPECT_EQ(errorCode(exchange(*Early, cachePut("smt", keyHex(4), "late"))),
-            "draining");
-  EXPECT_EQ(errorCode(exchange(*Early, cacheGet("smt", keyHex(4)))),
-            "draining");
-  S.run();
+  shutdownCache();
+  fs::remove_all(Dir);
 }

@@ -1,5 +1,6 @@
 //===- SupportTest.cpp - Support-library tests -----------------------------===//
 
+#include "support/Log.h"
 #include "support/Stopwatch.h"
 #include "support/TableWriter.h"
 
@@ -46,6 +47,13 @@ TEST(TableWriterTest, FormatSeconds) {
   EXPECT_EQ(formatSeconds(1234.5), "1.234");
   EXPECT_EQ(formatSeconds(-1), "-");
   EXPECT_EQ(formatSeconds(0), "0.000");
+}
+
+TEST(JsonEscapeTest, EscapesQuotesBackslashAndControlCharacters) {
+  EXPECT_EQ(jsonEscape("\t\r\x01\"\\"), "\\t\\r\\u0001\\\"\\\\");
+  EXPECT_EQ(jsonEscape("a\nb\x1f"), "a\\nb\\u001f");
+  // Bytes at or above 0x20 (UTF-8 included) pass through unchanged.
+  EXPECT_EQ(jsonEscape("plain \xc3\xa9 ~"), "plain \xc3\xa9 ~");
 }
 
 } // namespace

@@ -16,12 +16,9 @@
 ///     --jobs N                                 worker threads for sweeps /
 ///                                              portfolio bookkeeping
 ///     --seed N                                 Z3 random seed
-///     --cache off|mem|disk|remote              memoization mode
+///     --cache off|mem|disk                     memoization mode
 ///     --cache-dir DIR                          persistent store directory
 ///                                              (default: ./.se2gis-cache)
-///     --cache-addr ADDR                        cache tier address for
-///                                              --cache remote: a served
-///                                              --cache disk process
 ///                                              (unix:/path or
 ///                                              tcp:host:port)
 ///     --log-level error|warn|info|debug        logger verbosity
@@ -83,8 +80,7 @@ void usage() {
       "usage: se2gis [--algo se2gis|segis|segis-uc|chc|portfolio]\n"
       "              [--timeout N] [--timeout-ms N] [--jobs N] [--seed N]\n"
       "              [--unreal witness|chc|race] [--smt-incremental on|off]\n"
-      "              [--cache off|mem|disk|remote] [--cache-dir DIR]\n"
-      "              [--cache-addr ADDR]\n"
+      "              [--cache off|mem|disk] [--cache-dir DIR]\n"
       "              [--log-level error|warn|info|debug] [--trace PATH]\n"
       "              [--print-problem] [--quiet]\n"
       "              (<problem-file> | --benchmark <name>)\n"
@@ -401,8 +397,6 @@ int main(int argc, char **argv) {
       Config.Cache.Mode = *Mode;
     } else if (Arg == "--cache-dir" && I + 1 < argc) {
       Config.Cache.Dir = argv[++I];
-    } else if (Arg == "--cache-addr" && I + 1 < argc) {
-      Config.Cache.Addr = argv[++I];
     } else if (Arg == "--log-level" && I + 1 < argc) {
       std::string Name = argv[++I];
       auto Level = parseLogLevel(Name);
@@ -435,18 +429,12 @@ int main(int argc, char **argv) {
     usage();
     return 64;
   }
-  if (Config.Cache.Mode == CacheMode::Disk ||
-      Config.Cache.Mode == CacheMode::Remote) {
+  if (Config.Cache.Mode == CacheMode::Disk) {
     std::string Err = validateCacheDir(Config.Cache.Dir);
     if (!Err.empty()) {
       logf(LogLevel::Error, "cli", "--cache-dir: %s", Err.c_str());
       return 64;
     }
-  }
-  if (Config.Cache.Mode == CacheMode::Remote && Config.Cache.Addr.empty()) {
-    logf(LogLevel::Error, "cli",
-         "--cache remote needs --cache-addr (or SE2GIS_CACHE_ADDR)");
-    return 64;
   }
 
   std::shared_ptr<const Problem> P;

@@ -10,9 +10,6 @@
 ///   se2gis_fuzz --gen-seed N --cases N
 ///       [--timeout-ms N]        per-config budget (default 2000)
 ///       [--matrix small|full]   config matrix (full adds chc-only + disk)
-///       [--cache-addr ADDR]     add a remote-cache cold/warm column
-///                               against a running cache tier
-///                               (se2gis_served --cache disk)
 ///       [--corpus DIR]          write <name>.se2 + <name>.json reproducers
 ///       [--no-shrink]           keep failing cases unshrunk
 ///       [--replay FILE]         run one DSL file through the matrix
@@ -53,26 +50,9 @@ void usage() {
   std::fprintf(stderr,
                "usage: se2gis_fuzz --gen-seed N --cases N\n"
                "                   [--timeout-ms N] [--matrix small|full]\n"
-               "                   [--cache-addr ADDR]\n"
                "                   [--corpus DIR] [--no-shrink]\n"
                "                   [--replay FILE] [--print-source]\n"
                "                   [--trace PATH] [--inject-bug]\n");
-}
-
-/// JSON string escaping for the manifest (the strings involved are ASCII
-/// verdict/label text, but be safe about quotes/backslashes).
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  for (char C : S) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    if (C == '\n') {
-      Out += "\\n";
-      continue;
-    }
-    Out += C;
-  }
-  return Out;
 }
 
 void writeManifest(std::ostream &OS, const std::string &Name,
@@ -163,8 +143,6 @@ int main(int argc, char **argv) {
         logf(LogLevel::Error, "fuzz", "--matrix expects small|full");
         return 64;
       }
-    } else if (A == "--cache-addr") {
-      Opts.RemoteAddr = Value("--cache-addr");
     } else if (A == "--corpus") {
       CorpusDir = Value("--corpus");
     } else if (A == "--no-shrink") {
@@ -191,12 +169,11 @@ int main(int argc, char **argv) {
   if (!TracePath.empty())
     traceConfigure(TracePath);
 
-  std::vector<FuzzConfigSpec> Matrix =
-      defaultMatrix(FullMatrix, /*WithRemote=*/!Opts.RemoteAddr.empty());
+  std::vector<FuzzConfigSpec> Matrix = defaultMatrix(FullMatrix);
 
-  // Disk/remote-cache configs need a scratch directory; share the corpus
-  // dir's parent when given, else a fixed path under the system temp dir.
-  if (FullMatrix || !Opts.RemoteAddr.empty()) {
+  // Disk-cache configs need a scratch directory: a fixed path under the
+  // system temp dir.
+  if (FullMatrix) {
     Opts.CacheDirBase =
         (std::filesystem::temp_directory_path() / "se2gis_fuzz_cache")
             .string();

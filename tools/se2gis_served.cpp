@@ -12,13 +12,8 @@
 ///     --max-queue N          admission bound on queued jobs (default 64)
 ///     --timeout-ms N         default per-job budget (default 5000)
 ///     --drain-timeout-ms N   in-flight budget during drain (default 10000)
-///     --cache off|mem|disk|remote  memoization mode shared by all workers;
-///                            a --cache disk server is also the shared
-///                            cache tier (cache.get / cache.put) for
-///                            --cache remote nodes
+///     --cache off|mem|disk   memoization mode shared by all workers
 ///     --cache-dir DIR        persistent store directory
-///     --cache-addr ADDR      cache tier address for --cache remote: another
-///                            se2gis_served started with --cache disk
 ///     --log-level error|warn|info|debug
 ///     --trace PATH           Chrome trace_event output
 ///     --metrics-addr ADDR    plain-HTTP Prometheus listener (unix:/tcp:)
@@ -52,14 +47,11 @@ void usage() {
       "                     [--workers N] [--max-queue N] [--timeout-ms N]\n"
       "                     [--drain-timeout-ms N] [--unreal witness|chc|race]\n"
       "                     [--smt-incremental on|off]\n"
-      "                     [--cache off|mem|disk|remote]\n"
-      "                     [--cache-dir DIR] [--cache-addr ADDR]\n"
+      "                     [--cache off|mem|disk] [--cache-dir DIR]\n"
       "                     [--log-level error|warn|info|debug]\n"
       "                     [--trace PATH]\n"
       "                     [--metrics-addr unix:<path>|tcp:<host>:<port>]\n"
-      "                     [--flight-dir DIR]\n"
-      "A --cache disk server is also the shared cache tier; --cache-addr\n"
-      "points a --cache remote server at one.\n");
+      "                     [--flight-dir DIR]\n");
 }
 
 /// The signal handler may only touch async-signal-safe state; the server
@@ -130,8 +122,6 @@ int main(int argc, char **argv) {
       Config.Base.Cache.Mode = *Mode;
     } else if (Arg == "--cache-dir" && I + 1 < argc) {
       Config.Base.Cache.Dir = argv[++I];
-    } else if (Arg == "--cache-addr" && I + 1 < argc) {
-      Config.Base.Cache.Addr = argv[++I];
     } else if (Arg == "--log-level" && I + 1 < argc) {
       std::string Name = argv[++I];
       auto Level = parseLogLevel(Name);
@@ -154,13 +144,6 @@ int main(int argc, char **argv) {
       usage();
       return 64;
     }
-  }
-
-  if (Config.Base.Cache.Mode == CacheMode::Remote &&
-      Config.Base.Cache.Addr.empty()) {
-    logf(LogLevel::Error, "served",
-         "--cache remote needs --cache-addr (or SE2GIS_CACHE_ADDR)");
-    return 64;
   }
 
   const bool HasMetrics = !Config.MetricsAddr.empty();
